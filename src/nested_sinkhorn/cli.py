@@ -14,10 +14,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ from .transport import wasserstein_distance
 
 __all__ = ["RunConfig", "main", "run"]
 
-THREADS_ENV_VAR = "NESTED_SINKHORN_THREADS"
 _BENCH_BRANCHING_A = (1, 2, 3, 2, 3, 4)
 _BENCH_BRANCHING_B = (1, 2, 2, 1, 3, 2)
 
@@ -69,19 +67,6 @@ class RunConfig:
     branching_b: tuple[int, ...] = _BENCH_BRANCHING_B
     max_stages: int = 5
     out: Optional[str] = None
-    threads: Optional[int] = None
-
-
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _fmt(value) -> str:
@@ -100,9 +85,11 @@ def _write(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(config: RunConfig, header: Sequence[str], rows: list[dict]) -> None:
+def _emit(config: RunConfig, header: Sequence[str], rows: list[dict],
+          extra: Optional[dict] = None) -> None:
+    """Write ``rows`` as CSV or JSON; ``extra`` adds top-level JSON keys."""
     if config.output == "json":
-        payload = {"command": config.command, "rows": rows}
+        payload = {"command": config.command, "rows": rows, **(extra or {})}
         _write(config, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
     buf = io.StringIO()
@@ -163,9 +150,8 @@ def _cmd_sinkhorn(config: RunConfig) -> int:
 
 def _cmd_nested(config: RunConfig) -> int:
     tree_a, tree_b = _load_pair(config)
-    threads = _resolve_threads(config.threads)
     start = time.perf_counter()
-    res = nested_exact(tree_a, tree_b, config.r, threads=threads)
+    res = nested_exact(tree_a, tree_b, config.r)
     elapsed = time.perf_counter() - start
     _emit(config, ["nd", "r", "stages", "wall_time_s"],
           [{"nd": res.value, "r": config.r, "stages": tree_a.height, "wall_time_s": elapsed}])
@@ -174,10 +160,9 @@ def _cmd_nested(config: RunConfig) -> int:
 
 def _cmd_nested_sinkhorn(config: RunConfig) -> int:
     tree_a, tree_b = _load_pair(config)
-    threads = _resolve_threads(config.threads)
     start = time.perf_counter()
     res = nested_sinkhorn(tree_a, tree_b, config.r, config.lam, tol=config.tol,
-                          max_iter=config.max_iter, threads=threads)
+                          max_iter=config.max_iter)
     elapsed = time.perf_counter() - start
     subproblems = ";".join(str(len(table)) for table in res.stage_tables)
     _emit(
@@ -196,16 +181,16 @@ def _cmd_nested_sinkhorn(config: RunConfig) -> int:
             "converged": res.converged,
             "wall_time_s": elapsed,
         }],
+        {"stats": [asdict(stage) for stage in res.stats]},
     )
     return 0 if res.converged else 1
 
 
 def _cmd_sweep(config: RunConfig) -> int:
     tree_a, tree_b = _load_pair(config)
-    threads = _resolve_threads(config.threads)
     grid = config.lambdas if config.lambdas else DEFAULT_LAMBDA_GRID
     rows = lambda_sweep(tree_a, tree_b, config.r, grid, tol=config.tol,
-                        max_iter=config.max_iter, threads=threads)
+                        max_iter=config.max_iter)
     _emit(
         config,
         ["lambda", "nd_s", "nde_s", "nd_w", "wall_time_exact_s", "wall_time_sinkhorn_s",
@@ -226,16 +211,15 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     tree_a, tree_b = _load_pair(config)
-    threads = _resolve_threads(config.threads)
     rows: list[dict] = []
 
-    bounds = nested_bound_report(tree_a, tree_b, config.r, config.lam, threads=threads)
+    bounds = nested_bound_report(tree_a, tree_b, config.r, config.lam)
     for check in bounds.checks:
         rows.append({"report": "bounds", "check": check.name, "passed": check.passed,
                      "value": check.slack})
 
     sink = nested_sinkhorn(tree_a, tree_b, config.r, config.lam, tol=config.tol,
-                           max_iter=config.max_iter, threads=threads)
+                           max_iter=config.max_iter)
     if sink.converged:
         equivalence = verify_entropic_equivalence(tree_a, tree_b, config.r, config.lam, sink)
         rows.append({"report": "equivalence", "check": "conditional marginal feasibility",
@@ -269,7 +253,6 @@ def _cmd_gen(config: RunConfig) -> int:
 
 
 def _cmd_bench(config: RunConfig) -> int:
-    threads = _resolve_threads(config.threads)
     rows = []
     all_converged = True
     for stages in range(1, config.max_stages + 1):
@@ -282,11 +265,11 @@ def _cmd_bench(config: RunConfig) -> int:
         tree_b = generate_random_tree(config.branching_b[: stages + 1],
                                       config.seed + 17 * stages + 2)
         start = time.perf_counter()
-        exact = nested_exact(tree_a, tree_b, config.r, threads=threads)
+        exact = nested_exact(tree_a, tree_b, config.r)
         exact_time = time.perf_counter() - start
         start = time.perf_counter()
         sink = nested_sinkhorn(tree_a, tree_b, config.r, config.lam, tol=config.tol,
-                               max_iter=config.max_iter, threads=threads)
+                               max_iter=config.max_iter)
         sinkhorn_time = time.perf_counter() - start
         all_converged = all_converged and sink.converged
         rows.append({
@@ -370,8 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=("csv", "json"), default="csv",
                         help="report format (default csv)")
     common.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"stage-level parallelism (default: {THREADS_ENV_VAR} or all cores)")
 
     reg = argparse.ArgumentParser(add_help=False)
     reg.add_argument("--lambda", dest="lam", type=float, default=20.0,
@@ -425,7 +406,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         branching_b=getattr(args, "branching_b", _BENCH_BRANCHING_B),
         max_stages=getattr(args, "max_stages", 5),
         out=getattr(args, "out", None),
-        threads=getattr(args, "threads", None),
     )
     return run(config)
 

@@ -4,34 +4,28 @@ The exact nested distance runs a backward recursion over stages: at every
 node pair it solves a small transportation problem whose costs are the
 values of the child pairs one stage later, and whose marginals are the two
 conditional branch distributions.  The regularized variant replaces each
-subproblem with a scaling iteration and propagates the full entropic
-objective.  A single flat linear program over leaf-pair variables with
-cross-multiplied conditional-marginal constraints serves as an independent
-oracle for both, and the remaining functions verify the identities the
-recursion is supposed to satisfy: flat feasibility of the composed plan,
-objective equality, the Gibbs decomposition of the composed coupling, the
-comparison bounds, and the martingale property of the dual process.
+subproblem with a scaling iteration, run for a whole stage at once, and
+propagates the full entropic objective.  A single flat linear program over
+leaf-pair variables with cross-multiplied conditional-marginal constraints
+serves as an independent oracle for both, and the remaining functions
+verify the identities the recursion is supposed to satisfy: flat
+feasibility of the composed plan, objective equality, the Gibbs
+decomposition of the composed coupling, the comparison bounds, and the
+martingale property of the dual process.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._simplex import solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix, trajectories
-from .sinkhorn import (
-    CheckResult,
-    bounded_check,
-    dual_from_scalings,
-    entropy,
-    sinkhorn_auto,
-)
+from .sinkhorn import CheckResult, _marginal_errors, _sinkhorn_batch, bounded_check, entropy
 from .transport import TransportPlan, solve_transport_lp
 
 __all__ = [
@@ -41,6 +35,7 @@ __all__ = [
     "MartingaleReport",
     "NestedBoundReport",
     "NestedResult",
+    "StageStats",
     "SweepRow",
     "conditional_marginal_residuals",
     "flat_nested_lp",
@@ -79,6 +74,30 @@ class ConditionalSolution:
 
 
 @dataclass
+class StageStats:
+    """Where one stage of the backward recursion spent its work.
+
+    ``shapes`` lists the distinct child-count shapes ``(m, n)`` of the
+    stage's subproblems.  ``iterations`` is the stage's total of scaling
+    sweeps and the ``iterations_*`` fields its spread over the subproblems
+    (all 0 for exact LPs); ``stabilized`` counts the subproblems the
+    log-domain iteration solved, ``max_marginal_error`` is the largest
+    marginal violation of a stage plan and ``wall_s`` the stage's wall time.
+    """
+
+    stage: int
+    subproblems: int
+    shapes: list[tuple[int, int]]
+    iterations: int
+    iterations_min: int
+    iterations_median: float
+    iterations_max: int
+    stabilized: int
+    max_marginal_error: float
+    wall_s: float
+
+
+@dataclass
 class NestedResult:
     """Outcome of a nested-distance computation.
 
@@ -87,7 +106,8 @@ class NestedResult:
     the recursion actually manipulates.  For the exact method the two
     coincide; for the regularized method ``value`` prices the composed plan
     against the leaf costs while ``value_with_entropy`` is the recursion's
-    root value, which also subtracts ``total_entropy / lam``.
+    root value, which also subtracts ``total_entropy / lam``.  ``stats``
+    holds one :class:`StageStats` record per stage, in stage order.
     """
 
     value: float
@@ -101,6 +121,36 @@ class NestedResult:
     total_entropy: float
     converged: bool
     total_iterations: int
+    stats: list[StageStats] = field(default_factory=list)
+
+
+class _Subproblem(NamedTuple):
+    """Conditional transport problem at one node pair."""
+
+    row_children: tuple[int, ...]
+    col_children: tuple[int, ...]
+    row_probs: np.ndarray
+    col_probs: np.ndarray
+    cost: np.ndarray
+
+
+# solves one stage's subproblems; returns their solutions in order, the
+# number solved in the log domain and the largest plan marginal violation
+StageSolver = Callable[[list[_Subproblem]], tuple[list[ConditionalSolution], int, float]]
+
+
+def _shape_groups(
+    problems: list[_Subproblem],
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """The subproblems grouped by cost shape; yields each group's indices
+    with its stacked row marginals, column marginals and costs."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, sp in enumerate(problems):
+        groups.setdefault(sp.cost.shape, []).append(k)
+    for members in groups.values():
+        group = [problems[k] for k in members]
+        yield (members, np.array([sp.row_probs for sp in group]),
+               np.array([sp.col_probs for sp in group]), np.array([sp.cost for sp in group]))
 
 
 def _check_pair(tree_a: ScenarioTree, tree_b: ScenarioTree) -> None:
@@ -147,12 +197,11 @@ def _solve_stagewise(
     tree_a: ScenarioTree,
     tree_b: ScenarioTree,
     leaf_cost: np.ndarray,
-    solve_pair: Callable[..., ConditionalSolution],
-    threads: int,
-) -> tuple[list[dict[tuple[int, int], ConditionalSolution]], float]:
-    """Backward recursion over stages; returns the stage tables and the
-    root value.  Node pairs within one stage are independent and may be
-    solved concurrently."""
+    solve_stage: StageSolver,
+) -> tuple[list[dict[tuple[int, int], ConditionalSolution]], list[StageStats], float]:
+    """Backward recursion over stages; returns the stage tables, the
+    per-stage statistics and the root value.  The node pairs of a stage are
+    independent, so each stage goes to ``solve_stage`` as one list."""
     T = tree_a.height
     pos_a = {leaf: k for k, leaf in enumerate(tree_a.leaf_ids)}
     pos_b = {leaf: k for k, leaf in enumerate(tree_b.leaf_ids)}
@@ -162,32 +211,39 @@ def _solve_stagewise(
         for jb in tree_b.leaf_ids
     }
     tables: list[dict[tuple[int, int], ConditionalSolution]] = []
-
-    def job(pair: tuple[int, int]) -> tuple[tuple[int, int], ConditionalSolution]:
-        ia, jb = pair
-        kids_a = tree_a.children(ia)
-        kids_b = tree_b.children(jb)
-        sub_cost = np.array([[values[(x, y)] for y in kids_b] for x in kids_a])
-        sol = solve_pair(
-            tree_a.branch_probabilities(ia),
-            tree_b.branch_probabilities(jb),
-            sub_cost,
-            kids_a,
-            kids_b,
-        )
-        return pair, sol
-
+    stats: list[StageStats] = []
     for t in range(T - 1, -1, -1):
-        pairs = [(ia, jb) for ia in tree_a.stage(t) for jb in tree_b.stage(t)]
-        if threads > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                solved = dict(pool.map(job, pairs))
-        else:
-            solved = dict(job(pair) for pair in pairs)
-        tables.append(solved)
-        values = {pair: sol.value for pair, sol in solved.items()}
+        start = time.perf_counter()
+        probs_b = {jb: tree_b.branch_probabilities(jb) for jb in tree_b.stage(t)}
+        pairs = []
+        problems = []
+        for ia in tree_a.stage(t):
+            kids_a = tree_a.children(ia)
+            pa = tree_a.branch_probabilities(ia)
+            for jb in tree_b.stage(t):
+                kids_b = tree_b.children(jb)
+                cost = np.array([[values[(x, y)] for y in kids_b] for x in kids_a])
+                pairs.append((ia, jb))
+                problems.append(_Subproblem(kids_a, kids_b, pa, probs_b[jb], cost))
+        solved, stabilized, worst = solve_stage(problems)
+        tables.append(dict(zip(pairs, solved)))
+        values = {pair: sol.value for pair, sol in zip(pairs, solved)}
+        iterations = [sol.iterations for sol in solved]
+        stats.append(StageStats(
+            stage=t,
+            subproblems=len(problems),
+            shapes=sorted({sp.cost.shape for sp in problems}),
+            iterations=sum(iterations),
+            iterations_min=min(iterations),
+            iterations_median=float(np.median(iterations)),
+            iterations_max=max(iterations),
+            stabilized=stabilized,
+            max_marginal_error=worst,
+            wall_s=time.perf_counter() - start,
+        ))
     tables.reverse()
-    return tables, values[(tree_a.root_id, tree_b.root_id)]
+    stats.reverse()
+    return tables, stats, values[(tree_a.root_id, tree_b.root_id)]
 
 
 def _compose(
@@ -213,8 +269,7 @@ def _compose(
     return out
 
 
-def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
-                 threads: int = 1) -> NestedResult:
+def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> NestedResult:
     """Exact nested distance of order ``r`` via the backward recursion.
 
     Every conditional subproblem is a transportation LP over the child pairs
@@ -225,23 +280,30 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     _check_pair(tree_a, tree_b)
     leaf_cost = cost_matrix(tree_a, tree_b, r)
 
-    def solve_pair(pa, pb, sub_cost, kids_a, kids_b) -> ConditionalSolution:
-        lp = solve_transport_lp(pa, pb, sub_cost)
-        return ConditionalSolution(
-            row_children=kids_a,
-            col_children=kids_b,
-            row_probs=pa,
-            col_probs=pb,
-            plan=lp.plan.matrix,
-            value=lp.value,
-            dual_row=lp.dual_row,
-            dual_col=lp.dual_col,
-            entropy=entropy(lp.plan.matrix),
-            iterations=0,
-            converged=True,
+    def solve_stage(problems: list[_Subproblem]):
+        solved = []
+        for sp in problems:
+            lp = solve_transport_lp(sp.row_probs, sp.col_probs, sp.cost)
+            solved.append(ConditionalSolution(
+                row_children=sp.row_children,
+                col_children=sp.col_children,
+                row_probs=sp.row_probs,
+                col_probs=sp.col_probs,
+                plan=lp.plan.matrix,
+                value=lp.value,
+                dual_row=lp.dual_row,
+                dual_col=lp.dual_col,
+                entropy=entropy(lp.plan.matrix),
+                iterations=0,
+                converged=True,
+            ))
+        worst = max(
+            float(_marginal_errors(np.array([solved[k].plan for k in members]), P, Q).max())
+            for members, P, Q, _ in _shape_groups(problems)
         )
+        return solved, 0, worst
 
-    tables, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_pair, threads)
+    tables, stats, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_stage)
     composed = _compose(tree_a, tree_b, tables)
     p = np.array([t.prob for t in trajectories(tree_a)])
     q = np.array([t.prob for t in trajectories(tree_b)])
@@ -259,19 +321,22 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
         total_entropy=entropy(composed),
         converged=True,
         total_iterations=0,
+        stats=stats,
     )
 
 
 def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
-                    lam: float = 20.0, tol: float = 1e-9, max_iter: int = 100_000,
-                    threads: int = 1) -> NestedResult:
+                    lam: float = 20.0, tol: float = 1e-9, max_iter: int = 100_000) -> NestedResult:
     """Entropy-regularized nested divergence via the same backward recursion.
 
     Each conditional subproblem is solved by the scaling iteration (plain or
-    log-domain, chosen automatically) and contributes its full entropic
-    objective as the cost seen one stage earlier.  Subproblems run at
-    tolerance ``tol / T`` so the stagewise marginal errors cannot push the
-    composed plan's feasibility beyond ``tol``.  A subproblem hitting
+    log-domain, chosen automatically as in ``sinkhorn_auto``) and
+    contributes its full entropic objective as the cost seen one stage
+    earlier.  A stage's subproblems are grouped by shape and each group is
+    solved by one batched kernel; every subproblem keeps the iterations,
+    plan and multipliers the per-pair solver would give it.  Subproblems
+    run at tolerance ``tol / T`` so the stagewise marginal errors cannot
+    push the composed plan's feasibility beyond ``tol``.  A subproblem hitting
     ``max_iter`` flags the whole result as unconverged instead of raising.
     """
     _check_pair(tree_a, tree_b)
@@ -280,29 +345,36 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     leaf_cost = cost_matrix(tree_a, tree_b, r)
     sub_tol = tol / tree_a.height
 
-    def solve_pair(pa, pb, sub_cost, kids_a, kids_b) -> ConditionalSolution:
-        res = sinkhorn_auto(pa, pb, sub_cost, lam, sub_tol, max_iter)
-        cert = dual_from_scalings(res)
-        return ConditionalSolution(
-            row_children=kids_a,
-            col_children=kids_b,
-            row_probs=pa,
-            col_probs=pb,
-            plan=res.plan.matrix,
-            value=res.de_s,
-            dual_row=cert.beta,
-            dual_col=cert.gamma,
-            entropy=res.entropy,
-            iterations=res.iterations,
-            converged=res.converged,
-        )
+    def solve_stage(problems: list[_Subproblem]):
+        solved: list[Optional[ConditionalSolution]] = [None] * len(problems)
+        stabilized = 0
+        worst = 0.0
+        for members, P, Q, C in _shape_groups(problems):
+            batch = _sinkhorn_batch(P, Q, C, lam, sub_tol, max_iter)
+            stabilized += int(batch.stabilized.sum())
+            worst = max(worst, float(batch.marginal_error.max()))
+            for row, k in enumerate(members):
+                sp = problems[k]
+                solved[k] = ConditionalSolution(
+                    row_children=sp.row_children,
+                    col_children=sp.col_children,
+                    row_probs=sp.row_probs,
+                    col_probs=sp.col_probs,
+                    plan=batch.plan[row],
+                    value=float(batch.de_s[row]),
+                    dual_row=batch.dual_row[row],
+                    dual_col=batch.dual_col[row],
+                    entropy=float(batch.entropy[row]),
+                    iterations=int(batch.iterations[row]),
+                    converged=bool(batch.converged[row]),
+                )
+        return solved, stabilized, worst
 
-    tables, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_pair, threads)
+    tables, stats, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_stage)
     composed = _compose(tree_a, tree_b, tables)
     p = np.array([t.prob for t in trajectories(tree_a)])
     q = np.array([t.prob for t in trajectories(tree_b)])
     value_pow = float((composed * leaf_cost).sum())
-    all_solutions = [sol for table in tables for sol in table.values()]
     return NestedResult(
         value=_signed_root(value_pow, r),
         value_with_entropy=_signed_root(root_value, r),
@@ -313,8 +385,9 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
         method="sinkhorn",
         lam=lam,
         total_entropy=entropy(composed),
-        converged=all(sol.converged for sol in all_solutions),
-        total_iterations=sum(sol.iterations for sol in all_solutions),
+        converged=all(sol.converged for table in tables for sol in table.values()),
+        total_iterations=sum(stage.iterations for stage in stats),
+        stats=stats,
     )
 
 
@@ -458,15 +531,16 @@ def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: f
                 log_composed += math.log(sol.plan[k, l])
             max_gibbs = max(max_gibbs, abs(recon - log_composed))
 
-    feas_ok = max_residual <= marginal_tol
-    obj_ok = objective_gap <= objective_tol
-    gibbs_ok = max_gibbs <= gibbs_tol
+    # plain bools and floats, so the report serializes as JSON
+    feas_ok = bool(max_residual <= marginal_tol)
+    obj_ok = bool(objective_gap <= objective_tol)
+    gibbs_ok = bool(max_gibbs <= gibbs_tol)
     return EquivalenceReport(
         max_marginal_residual=max_residual,
         flat_objective=flat_objective,
         recursive_objective=result.value_with_entropy_pow,
         objective_gap=objective_gap,
-        max_gibbs_residual=max_gibbs,
+        max_gibbs_residual=float(max_gibbs),
         feasibility_ok=feas_ok,
         objective_ok=obj_ok,
         gibbs_ok=gibbs_ok,
@@ -503,7 +577,7 @@ def _max_branching(tree: ScenarioTree) -> int:
 
 def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                         lam: float = 20.0, *, tol: float = 1e-12,
-                        max_iter: int = 200_000, threads: int = 1) -> NestedBoundReport:
+                        max_iter: int = 200_000) -> NestedBoundReport:
     """Compute exact and regularized nested values and check the bounds.
 
     All comparisons run on order-r power values: the sandwich
@@ -513,8 +587,8 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
     the trees.  Subproblems run at a tight tolerance by default so that the
     inequality slacks stay well inside :data:`BOUND_SLACK`.
     """
-    exact = nested_exact(tree_a, tree_b, r, threads=threads)
-    sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=tol, max_iter=max_iter, threads=threads)
+    exact = nested_exact(tree_a, tree_b, r)
+    sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=tol, max_iter=max_iter)
     nd_w = exact.value_pow
     nd_s = sink.value_pow
     nde_s = sink.value_with_entropy_pow
@@ -614,7 +688,7 @@ def martingale_check(result: NestedResult, *, residual_tol: float = 1e-6,
         max_projection_residual=max_proj,
         residual_tol=residual_tol,
         projection_tol=projection_tol,
-        passed=max_resid <= residual_tol and max_proj <= projection_tol,
+        passed=bool(max_resid <= residual_tol and max_proj <= projection_tol),
     )
 
 
@@ -634,7 +708,7 @@ class SweepRow:
 
 def lambda_sweep(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                  lambdas: Sequence[float] = DEFAULT_LAMBDA_GRID, tol: float = 1e-9,
-                 max_iter: int = 100_000, threads: int = 1) -> list[SweepRow]:
+                 max_iter: int = 100_000) -> list[SweepRow]:
     """Regularized nested values across a grid of regularization levels.
 
     The exact value is computed once and repeated per row; wall times are
@@ -644,13 +718,12 @@ def lambda_sweep(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     if not lambdas or any(lam <= 0.0 for lam in lambdas):
         raise ValueError("lambda grid must be non-empty and strictly positive")
     start = time.perf_counter()
-    exact = nested_exact(tree_a, tree_b, r, threads=threads)
+    exact = nested_exact(tree_a, tree_b, r)
     exact_time = time.perf_counter() - start
     rows = []
     for lam in lambdas:
         start = time.perf_counter()
-        sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=tol, max_iter=max_iter,
-                               threads=threads)
+        sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=tol, max_iter=max_iter)
         elapsed = time.perf_counter() - start
         rows.append(
             SweepRow(

@@ -5,8 +5,11 @@ flavours: the plain multiplicative form on the kernel ``exp(-lam * cost)``
 and a log-domain form that survives arbitrarily large ``lam * cost`` via
 log-sum-exp.  Both stop on the max-norm marginal violation, normalize the
 scaling pair so the largest row scaling is one, and report the plan, its
-cost, its entropy, and the entropic objective.  Dual multipliers recovered
-from the scalings certify the result against the exact linear program.
+cost, its entropy, and the entropic objective.  A batched form runs the
+automatic choice between them on a stack of same-shape problems at once,
+for the stagewise subproblems of the nested recursion.  Dual multipliers
+recovered from the scalings certify the result against the exact linear
+program.
 """
 
 from __future__ import annotations
@@ -128,14 +131,18 @@ def gibbs_kernel(cost, lam: float) -> np.ndarray:
     return np.exp(-lam * np.asarray(cost, dtype=float))
 
 
-def entropy(plan) -> float:
-    """Shannon entropy ``-sum(x * log(x))`` of a plan, with 0 log 0 = 0."""
-    x = np.asarray(plan, dtype=float)
+def _unit_range(x: np.ndarray) -> np.ndarray:
+    """``x`` clipped to [0, 1]; raises if it strays beyond round-off."""
     if x.size and (x.min() < -1e-12 or x.max() > 1.0 + 1e-12):
         raise ValueError(
             f"plan entries must lie in [0, 1], found range [{x.min()!r}, {x.max()!r}]"
         )
-    x = np.clip(x, 0.0, 1.0)
+    return np.clip(x, 0.0, 1.0)
+
+
+def entropy(plan) -> float:
+    """Shannon entropy ``-sum(x * log(x))`` of a plan, with 0 log 0 = 0."""
+    x = _unit_range(np.asarray(plan, dtype=float))
     positive = x > 0.0
     return float(-(x[positive] * np.log(x[positive])).sum())
 
@@ -146,6 +153,11 @@ def _validate_inputs(p, q, cost, lam, tol, max_iter):
     C = np.asarray(cost, dtype=float)
     if C.shape != (p.size, q.size):
         raise ValueError(f"cost shape {C.shape} does not match marginals ({p.size}, {q.size})")
+    _validate_settings(C, lam, tol, max_iter)
+    return p, q, C
+
+
+def _validate_settings(C, lam, tol, max_iter):
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix must be finite")
     if lam <= 0.0:
@@ -154,7 +166,6 @@ def _validate_inputs(p, q, cost, lam, tol, max_iter):
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    return p, q, C
 
 
 def _finalize(p, q, C, lam, plan, log_u, log_v, iterations, tol, stabilized,
@@ -287,6 +298,160 @@ def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
         return sinkhorn_stabilized(p, q, C, lam, tol, max_iter)
 
 
+@dataclass
+class _BatchResult:
+    """Outcomes of :func:`_sinkhorn_batch`, one entry per problem along the
+    leading axis.  The fields mirror :class:`SinkhornResult`; ``dual_row``
+    and ``dual_col`` are the multipliers of :func:`dual_from_scalings`."""
+
+    plan: np.ndarray
+    d_s: np.ndarray
+    entropy: np.ndarray
+    de_s: np.ndarray
+    dual_row: np.ndarray
+    dual_col: np.ndarray
+    iterations: np.ndarray
+    marginal_error: np.ndarray
+    converged: np.ndarray
+    stabilized: np.ndarray
+
+
+def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Max-norm marginal violation of each plan in a stack ``[B, m, n]``."""
+    return np.maximum(np.abs(plan.sum(axis=2) - P).max(axis=1),
+                      np.abs(plan.sum(axis=1) - Q).max(axis=1))
+
+
+def _lockstep(K: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter: int):
+    """The iteration of :func:`sinkhorn` on stacked kernels ``[B, m, n]``.
+
+    Every problem starts together and leaves the active set on the sweep
+    where :func:`sinkhorn` would stop it.  Returns the scalings, the sweep
+    counts and the mask of problems whose marginal error went non-finite.
+    """
+    B, m, n = K.shape
+    u_out = np.ones((B, m))
+    v_out = np.ones((B, n))
+    iterations = np.zeros(B, dtype=int)
+    failed = np.zeros(B, dtype=bool)
+    if B == 0:
+        return u_out, v_out, iterations, failed
+    active = np.arange(B)
+    KT = K.transpose(0, 2, 1)
+    # column vectors, so each kernel product is one stacked matmul
+    P = P[:, :, None]
+    Q = Q[:, :, None]
+    u = np.ones((B, m, 1))
+    v = np.ones((B, n, 1))
+    it = 0
+    # a vanished or overflowed kernel product surfaces as a non-finite error
+    # one sweep later; the caller re-solves those problems in the log domain
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            t = K @ v
+            if it > 0:
+                err = np.maximum.reduce(np.abs(u * t - P), axis=1)[:, 0]
+                if it >= max_iter or not np.minimum.reduce(err) > tol:
+                    going = err > tol if it < max_iter else np.zeros(err.size, dtype=bool)
+                    stop = ~going
+                    done = active[stop]
+                    u_out[done] = u[stop, :, 0]
+                    v_out[done] = v[stop, :, 0]
+                    iterations[done] = it
+                    failed[done] = ~np.isfinite(err[stop])
+                    if not going.any():
+                        break
+                    active = active[going]
+                    K, KT, P, Q, t, u = K[going], KT[going], P[going], Q[going], t[going], u[going]
+            u = P / t
+            v = Q / (KT @ u)
+            it += 1
+    return u_out, v_out, iterations, failed
+
+
+def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
+                    max_iter: int = 100_000) -> _BatchResult:
+    """:func:`sinkhorn_auto` followed by :func:`dual_from_scalings` on a stack
+    of same-shape problems at once.
+
+    ``P`` is ``[B, m]``, ``Q`` is ``[B, n]`` and ``C`` is ``[B, m, n]``; the
+    rows of ``P`` and ``Q`` must already be probability vectors with
+    positive entries.  Problems with ``max |lam * cost|`` beyond
+    :data:`STABILIZE_THRESHOLD` go to :func:`sinkhorn_stabilized` one by
+    one.  The rest run the multiplicative iteration in lockstep with the
+    stopping rule of :func:`sinkhorn` checked on every sweep, so each keeps
+    the iteration count it would have alone.  A problem whose marginal
+    error turns non-finite (a kernel product under- or overflowed, where
+    :func:`sinkhorn` raises :class:`KernelUnderflowError`) is solved again
+    from scratch by :func:`sinkhorn_stabilized`.
+    """
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    C = np.asarray(C, dtype=float)
+    _validate_settings(C, lam, tol, max_iter)
+    B, m, n = C.shape
+    plan = np.empty((B, m, n))
+    log_u = np.empty((B, m))
+    log_v = np.empty((B, n))
+    d_s = np.empty(B)
+    h = np.empty(B)
+    marginal_error = np.empty(B)
+
+    stabilized = np.abs(lam * C).reshape(B, -1).max(axis=1) > STABILIZE_THRESHOLD
+    plain = np.flatnonzero(~stabilized)
+    K = np.exp(-lam * C[plain])
+    u, v, iterations_plain, failed = _lockstep(K, P[plain], Q[plain], tol, max_iter)
+    stabilized[plain[failed]] = True
+    ok = ~failed
+    rows = plain[ok]
+    u, v = u[ok], v[ok]
+    scale = u.max(axis=1, keepdims=True)
+    u = u / scale
+    v = v * scale
+    x = u[:, :, None] * K[ok] * v[:, None, :]
+    plan[rows] = x
+    with np.errstate(divide="ignore"):
+        log_u[rows] = np.log(u)
+        log_v[rows] = np.log(v)
+    marginal_error[rows] = _marginal_errors(x, P[rows], Q[rows])
+    d_s[rows] = (x * C[rows]).sum(axis=(1, 2))
+    x = _unit_range(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h[rows] = -np.where(x > 0.0, x * np.log(x), 0.0).sum(axis=(1, 2))
+    iterations = np.zeros(B, dtype=int)
+    iterations[rows] = iterations_plain[ok]
+
+    for k in np.flatnonzero(stabilized):
+        res = sinkhorn_stabilized(P[k], Q[k], C[k], lam, tol, max_iter)
+        plan[k] = res.plan.matrix
+        log_u[k] = res.log_scaling_row
+        log_v[k] = res.log_scaling_col
+        d_s[k] = res.d_s
+        h[k] = res.entropy
+        marginal_error[k] = res.marginal_error
+        iterations[k] = res.iterations
+
+    dual_row, dual_col = _scaling_duals(log_u, log_v, lam)
+    return _BatchResult(
+        plan=plan,
+        d_s=d_s,
+        entropy=h,
+        de_s=d_s - h / lam,
+        dual_row=dual_row,
+        dual_col=dual_col,
+        iterations=iterations,
+        marginal_error=marginal_error,
+        converged=marginal_error <= tol,
+        stabilized=stabilized,
+    )
+
+
+def _scaling_duals(log_u: np.ndarray, log_v: np.ndarray, lam: float):
+    if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
+        raise ValueError("scalings must be positive and finite")
+    return (log_u + 0.5) / lam, (log_v + 0.5) / lam
+
+
 def dual_from_scalings(result: SinkhornResult) -> DualCertificate:
     """Recover dual multipliers from the scaling vectors.
 
@@ -295,12 +460,7 @@ def dual_from_scalings(result: SinkhornResult) -> DualCertificate:
     the multipliers, which exceeds the entropic objective by exactly
     ``1 / lam`` at the fixed point.
     """
-    if not (np.all(np.isfinite(result.log_scaling_row))
-            and np.all(np.isfinite(result.log_scaling_col))):
-        raise ValueError("scalings must be positive and finite")
-    lam = result.lam
-    beta = (result.log_scaling_row + 0.5) / lam
-    gamma = (result.log_scaling_col + 0.5) / lam
+    beta, gamma = _scaling_duals(result.log_scaling_row, result.log_scaling_col, result.lam)
     p = result.plan.row_marginal
     q = result.plan.col_marginal
     return DualCertificate(beta=beta, gamma=gamma, dual_value=float(p @ beta + q @ gamma))

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 _RC_TOL = 1e-11        # reduced-cost threshold for entering variables
-_MAX_PIVOTS = 100_000  # hard safety net; Bland's rule terminates long before
+_MAX_PIVOTS = 100_000  # cap on simplex pivots per solve
 
 
 def _as_marginal(vec, name: str) -> np.ndarray:
@@ -146,8 +146,9 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
 
     ``p`` and ``q`` must be strictly positive probability vectors and
     ``cost`` a finite matrix of shape ``(len(p), len(q))``.  Returns an
-    optimal basic solution; a pivot-limit overrun would be an anti-cycling
-    defect and raises ``RuntimeError``.
+    optimal basic solution.  Bland's rule cannot cycle, but on large
+    instances it can need more than ``_MAX_PIVOTS`` pivots; the solve then
+    stops and raises ``RuntimeError`` naming the shape and the pivot count.
     """
     p = _as_marginal(p, "p")
     q = _as_marginal(q, "q")
@@ -219,7 +220,10 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
         drop(*leave)
         add(ei, ej, theta)
     else:
-        raise RuntimeError("transportation simplex exceeded the pivot limit (anti-cycling defect)")
+        raise RuntimeError(
+            f"transportation simplex reached the pivot limit of {_MAX_PIVOTS} pivots "
+            f"on a {n}x{m} problem before proving optimality"
+        )
 
     plan = np.zeros((n, m))
     for (i, j), val in x.items():

@@ -95,3 +95,20 @@ def random_tree_pair(seed: int, max_height: int = 3,
         generate_random_tree(branching_a, 2 * seed + 1),
         generate_random_tree(branching_b, 2 * seed + 2),
     )
+
+
+def uneven_tree(seed: int, height: int = 3) -> ScenarioTree:
+    """Seeded random tree in which every node has one to three children, so
+    one stage mixes subproblem shapes and single-child nodes."""
+    rng = np.random.default_rng(seed)
+    nodes = [{"id": 0, "parent": None, "state": 0.0, "prob": 1.0}]
+    level = [0]
+    for _ in range(height):
+        below = []
+        for parent in level:
+            for prob in rng.dirichlet(np.ones(int(rng.integers(1, 4)))):
+                below.append(len(nodes))
+                nodes.append({"id": len(nodes), "parent": parent,
+                              "state": float(rng.normal(0.0, 2.0)), "prob": float(prob)})
+        level = below
+    return tree_from_nodes(nodes)

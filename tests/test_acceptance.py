@@ -239,7 +239,7 @@ def test_criterion_11_benchmark_trend(tmp_path):
     with criterion(11, "benchmark completes; exact-minus-entropic grows with depth"):
         target = tmp_path / "bench.csv"
         status = run(RunConfig(command="bench", seed=0, lam=20.0, r=1.0,
-                               max_stages=5, threads=1, out=str(target)))
+                               max_stages=5, out=str(target)))
         assert status == 0
         with open(target, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))

@@ -121,11 +121,36 @@ class TestOutputs:
         assert isinstance(doc["rows"], list)
         assert doc["rows"][0]["distance"] == pytest.approx(0.05, abs=1e-12)
 
+    def test_verify_json(self, tmp_path, capsys):
+        pair = height3_pair()
+        path_a, path_b = write_pair(tmp_path, pair)
+        assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
+                     "--lambda", "5", "--output", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 9
+        assert all(row["passed"] is True for row in rows)
+
+    def test_nested_sinkhorn_json_stats(self, tmp_path, capsys):
+        pair = height3_pair()
+        path_a, path_b = write_pair(tmp_path, pair)
+        args = ["nested-sinkhorn", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "10"]
+        assert main(args + ["--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        row, stats = doc["rows"][0], doc["stats"]
+        assert [stage["stage"] for stage in stats] == [0, 1, 2]
+        assert sum(stage["iterations"] for stage in stats) == row["iterations"]
+        assert ";".join(str(stage["subproblems"]) for stage in stats) == row["stage_subproblems"]
+        assert stats[2]["shapes"] == [[2, 2], [2, 3]]
+        # the CSV report keeps its columns
+        assert main(args) == 0
+        header, _ = csv_rows(capsys.readouterr().out)
+        assert "stats" not in header and len(header) == 10
+
     def test_csv_determinism_modulo_timings(self, tmp_path, capsys):
         pair = height3_pair()
         path_a, path_b = write_pair(tmp_path, pair)
         args = ["nested-sinkhorn", "--tree-a", path_a, "--tree-b", path_b,
-                "--lambda", "7", "--threads", "1"]
+                "--lambda", "7"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -185,9 +210,3 @@ class TestExitCodes:
     def test_unknown_command(self):
         config = RunConfig(command="nope")
         assert run(config) == 2
-
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NESTED_SINKHORN_THREADS", "2")
-        pair = split_timing_pair(0.1)
-        path_a, path_b = write_pair(tmp_path, pair)
-        assert main(["nested", "--tree-a", path_a, "--tree-b", path_b]) == 0

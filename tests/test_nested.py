@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import height3_pair, path_tree, random_tree_pair, split_timing_pair
+from conftest import height3_pair, path_tree, random_tree_pair, split_timing_pair, uneven_tree
 from nested_sinkhorn import (
     conditional_marginal_residuals,
     cost_matrix,
+    dual_from_scalings,
     flat_nested_lp,
     generate_random_tree,
     lambda_sweep,
@@ -105,13 +106,6 @@ class TestNestedExact:
         single = path_tree([1.0])
         with pytest.raises(ValueError, match="height"):
             nested_exact(single, single, 1.0)
-
-    def test_threads_do_not_change_results(self):
-        tree_a, tree_b = height3_pair()
-        serial = nested_exact(tree_a, tree_b, 1.0, threads=1)
-        parallel = nested_exact(tree_a, tree_b, 1.0, threads=4)
-        assert serial.value == parallel.value
-        assert np.array_equal(serial.composed_plan.matrix, parallel.composed_plan.matrix)
 
 
 class TestFlatNestedLp:
@@ -214,6 +208,92 @@ class TestNestedSinkhorn:
         tree_a, tree_b = height3_pair()
         with pytest.raises(ValueError, match="positive"):
             nested_sinkhorn(tree_a, tree_b, 1.0, lam=0.0)
+
+
+def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
+    """Check every stage-table entry of a regularized result against
+    ``sinkhorn_auto`` plus ``dual_from_scalings`` on the same subproblem;
+    returns the reference results."""
+    T = len(res.stage_tables)
+    leaf_cost = cost_matrix(tree_a, tree_b, 1.0)
+    pos_a = {leaf: k for k, leaf in enumerate(tree_a.leaf_ids)}
+    pos_b = {leaf: k for k, leaf in enumerate(tree_b.leaf_ids)}
+    refs = []
+    for t, table in enumerate(res.stage_tables):
+        for sol in table.values():
+            if t + 1 == T:
+                cost = leaf_cost[np.ix_([pos_a[x] for x in sol.row_children],
+                                        [pos_b[y] for y in sol.col_children])]
+            else:
+                cost = np.array([[res.stage_tables[t + 1][(x, y)].value
+                                  for y in sol.col_children] for x in sol.row_children])
+            ref = sinkhorn_auto(sol.row_probs, sol.col_probs, cost, lam, tol / T, max_iter)
+            duals = dual_from_scalings(ref)
+            assert sol.iterations == ref.iterations
+            assert sol.converged == ref.converged
+            assert sol.plan == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+            assert sol.value == pytest.approx(ref.de_s, rel=0, abs=1e-12)
+            assert sol.entropy == pytest.approx(ref.entropy, rel=0, abs=1e-12)
+            assert sol.dual_row == pytest.approx(duals.beta, rel=0, abs=1e-12)
+            assert sol.dual_col == pytest.approx(duals.gamma, rel=0, abs=1e-12)
+            refs.append(ref)
+    return refs
+
+
+class TestStageKernel:
+    """The batched stage solve agrees with the flat per-pair solver."""
+
+    def test_uneven_branching(self):
+        for seed in range(3):
+            tree_a, tree_b = uneven_tree(2 * seed), uneven_tree(2 * seed + 1)
+            res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=10.0)
+            assert any(len(stage.shapes) >= 2 for stage in res.stats)
+            assert any(1 in shape for stage in res.stats for shape in stage.shapes)
+            refs = per_pair_reference(tree_a, tree_b, res, 10.0, 1e-9, 100_000)
+            assert res.converged and all(ref.converged for ref in refs)
+
+    def test_single_child_subproblems(self):
+        a = path_tree([0.0, 1.0, 3.0])
+        b, _ = split_timing_pair(0.1)
+        res = nested_sinkhorn(a, b, 1.0, lam=5.0)
+        assert [stage.shapes for stage in res.stats] == [[(1, 2)], [(1, 1)]]
+        per_pair_reference(a, b, res, 5.0, 1e-9, 100_000)
+
+    def test_large_lambda_stabilized_fallback(self):
+        tree_a, tree_b = height3_pair()
+        # at lambda 60 only the subproblems with large costs pass the
+        # log-domain threshold, so one stage mixes both iterations
+        res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=60.0, tol=1e-12)
+        refs = per_pair_reference(tree_a, tree_b, res, 60.0, 1e-12, 100_000)
+        stabilized = sum(ref.stabilized for ref in refs)
+        assert 0 < stabilized < len(refs)
+        assert sum(stage.stabilized for stage in res.stats) == stabilized
+
+    def test_max_iter_truncation(self):
+        tree_a, tree_b = uneven_tree(4), uneven_tree(5)
+        res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=30.0, tol=1e-12, max_iter=3)
+        refs = per_pair_reference(tree_a, tree_b, res, 30.0, 1e-12, 3)
+        flags = [ref.converged for ref in refs]
+        assert any(flags) and not all(flags)
+        assert not res.converged
+        assert max(stage.iterations_max for stage in res.stats) == 3
+
+    def test_stats_account_for_every_subproblem(self):
+        tree_a, tree_b = uneven_tree(6), uneven_tree(7)
+        res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=10.0)
+        assert [stage.stage for stage in res.stats] == list(range(tree_a.height))
+        assert [stage.subproblems for stage in res.stats] == [len(t) for t in res.stage_tables]
+        assert sum(stage.iterations for stage in res.stats) == res.total_iterations
+        for stage, table in zip(res.stats, res.stage_tables):
+            iterations = sorted(sol.iterations for sol in table.values())
+            assert (stage.iterations_min, stage.iterations_max) == (iterations[0], iterations[-1])
+            assert stage.iterations_median == pytest.approx(float(np.median(iterations)))
+            assert stage.max_marginal_error <= 1e-9
+        exact = nested_exact(tree_a, tree_b, 1.0)
+        assert all(stage.iterations == stage.iterations_max == stage.stabilized == 0
+                   for stage in exact.stats)
+        assert [stage.subproblems for stage in exact.stats] == [len(t) for t in exact.stage_tables]
+        assert max(stage.max_marginal_error for stage in exact.stats) <= 1e-10
 
 
 class TestEntropicEquivalence:

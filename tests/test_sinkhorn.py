@@ -16,6 +16,7 @@ from nested_sinkhorn import (
     sinkhorn_stabilized,
     solve_transport_lp,
 )
+from nested_sinkhorn.sinkhorn import _sinkhorn_batch
 
 HALF = np.array([0.5, 0.5])
 FLIP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -152,6 +153,30 @@ class TestSinkhornStabilized:
         extreme = sinkhorn_auto(HALF, HALF, FLIP_COST, lam=2000.0)
         assert extreme.stabilized
         assert extreme.converged
+
+
+class TestSinkhornBatch:
+    def test_underflow_retry_matches_auto(self):
+        # the first problem stays under the log-domain threshold, but its
+        # column scaling underflows on the first sweep, so the plain
+        # iteration gives up and the log-domain one solves it again
+        P = np.array([[1.0], [1.0]])
+        Q = np.array([[0.15488989, 0.84511011], [0.3, 0.7]])
+        C = np.array([[[-551.38714657, 278.40743479]], [[0.0, 1.0]]])
+        with pytest.raises(KernelUnderflowError):
+            sinkhorn(P[0], Q[0], C[0], lam=1.0)
+        batch = _sinkhorn_batch(P, Q, C, lam=1.0, tol=1e-12)
+        assert batch.stabilized.tolist() == [True, False]
+        for k in range(2):
+            ref = sinkhorn_auto(P[k], Q[k], C[k], lam=1.0, tol=1e-12)
+            duals = dual_from_scalings(ref)
+            assert ref.stabilized == batch.stabilized[k]
+            assert batch.iterations[k] == ref.iterations
+            assert batch.converged[k] == ref.converged
+            assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+            assert batch.de_s[k] == pytest.approx(ref.de_s, rel=0, abs=1e-12)
+            assert batch.dual_row[k] == pytest.approx(duals.beta, rel=0, abs=1e-12)
+            assert batch.dual_col[k] == pytest.approx(duals.gamma, rel=0, abs=1e-12)
 
 
 class TestEntropy:

@@ -12,6 +12,7 @@ from nested_sinkhorn import (
     trajectories,
     wasserstein_distance,
 )
+from nested_sinkhorn import transport
 from nested_sinkhorn._simplex import solve_lp
 
 
@@ -136,6 +137,13 @@ class TestSolveTransportLp:
             solve_transport_lp(good, good, np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="shape"):
             solve_transport_lp(good, good, np.zeros((3, 2)))
+
+    def test_pivot_limit_message(self, monkeypatch):
+        # the north-west corner start is the costly diagonal, so one pivot
+        # cannot prove optimality
+        monkeypatch.setattr(transport, "_MAX_PIVOTS", 1)
+        with pytest.raises(RuntimeError, match=r"pivot limit of 1 pivots on a 2x2 problem"):
+            solve_transport_lp([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestWassersteinDistance:
