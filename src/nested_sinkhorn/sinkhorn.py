@@ -208,7 +208,8 @@ def sinkhorn(p, q, cost, lam: float, tol: float = 1e-9, max_iter: int = 100_000)
     scaling until the max-norm marginal violation drops to ``tol`` or
     ``max_iter`` update pairs have run (then ``converged`` is False).
     Raises :class:`KernelUnderflowError` when the kernel numerically loses a
-    whole row or column; use :func:`sinkhorn_stabilized` in that regime.
+    whole row or column, or a row scaling underflows to zero once the
+    largest is normalized to one; use :func:`sinkhorn_stabilized` there.
     """
     p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
     K = gibbs_kernel(C, lam)
@@ -240,6 +241,8 @@ def sinkhorn(p, q, cost, lam: float, tol: float = 1e-9, max_iter: int = 100_000)
     scale = u.max()
     u = u / scale
     v = v * scale
+    if not u.min() > 0.0:
+        raise KernelUnderflowError("a row scaling underflowed; switch to sinkhorn_stabilized")
     plan = u[:, None] * K * v[None, :]
     return _finalize(p, q, C, lam, plan, np.log(u), np.log(v), it, tol, stabilized=False)
 
@@ -381,9 +384,9 @@ def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
     one.  The rest run the multiplicative iteration in lockstep with the
     stopping rule of :func:`sinkhorn` checked on every sweep, so each keeps
     the iteration count it would have alone.  A problem whose marginal
-    error turns non-finite (a kernel product under- or overflowed, where
-    :func:`sinkhorn` raises :class:`KernelUnderflowError`) is solved again
-    from scratch by :func:`sinkhorn_stabilized`.
+    error turns non-finite or whose normalized row scaling underflows
+    (where :func:`sinkhorn` raises :class:`KernelUnderflowError`) is solved
+    again from scratch by :func:`sinkhorn_stabilized`.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -401,18 +404,19 @@ def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
     plain = np.flatnonzero(~stabilized)
     K = np.exp(-lam * C[plain])
     u, v, iterations_plain, failed = _lockstep(K, P[plain], Q[plain], tol, max_iter)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = u.max(axis=1, keepdims=True)
+        u = u / scale
+        v = v * scale
+        failed |= ~(u.min(axis=1) > 0.0)  # a row scaling underflowed, as in sinkhorn
     stabilized[plain[failed]] = True
     ok = ~failed
     rows = plain[ok]
     u, v = u[ok], v[ok]
-    scale = u.max(axis=1, keepdims=True)
-    u = u / scale
-    v = v * scale
     x = u[:, :, None] * K[ok] * v[:, None, :]
     plan[rows] = x
-    with np.errstate(divide="ignore"):
-        log_u[rows] = np.log(u)
-        log_v[rows] = np.log(v)
+    log_u[rows] = np.log(u)
+    log_v[rows] = np.log(v)
     marginal_error[rows] = _marginal_errors(x, P[rows], Q[rows])
     d_s[rows] = (x * C[rows]).sum(axis=(1, 2))
     x = _unit_range(x)

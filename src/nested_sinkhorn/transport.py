@@ -1,16 +1,14 @@
 """Exact discrete optimal transport.
 
-The solver is a dense transportation simplex: north-west-corner start,
-Bland's entering rule (lowest index with a negative reduced cost) so cycling
-cannot occur, leaving ties broken by lowest cell index, and dual potentials
-read off the final basis with the first row potential pinned to zero.  It is
-built for the small couplings that arise between scenario trees, where an
-exact optimum certified by the returned duals matters more than raw speed.
+A transportation simplex on the basis tree, whose nodes are the rows and
+columns, whose arcs are the basic cells and whose root is row 0 (potential
+pinned to zero).  North-west-corner start; Dantzig pricing, with Bland's
+rule after a streak of zero-step pivots so cycling cannot occur; leaving
+ties go to the lowest cell index.  The returned duals certify the optimum.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +24,7 @@ __all__ = [
 
 _RC_TOL = 1e-11        # reduced-cost threshold for entering variables
 _MAX_PIVOTS = 100_000  # cap on simplex pivots per solve
+_DEGENERATE_SWITCH = 50  # zero-step pivots in a row before Bland's rule takes over
 
 
 def _as_marginal(vec, name: str) -> np.ndarray:
@@ -113,42 +112,15 @@ def _northwest_corner(p: np.ndarray, q: np.ndarray):
     return cells
 
 
-def _tree_path(ei: int, ej: int, row_adj, col_adj) -> list[tuple[int, int]]:
-    """Cells along the unique basis-tree path from row ``ei`` to column ``ej``."""
-    start = ("r", ei)
-    target = ("c", ej)
-    prev: dict[tuple[str, int], tuple[str, int] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        kind, idx = node = queue.popleft()
-        if node == target:
-            break
-        if kind == "r":
-            neighbors = (("c", jj) for jj in row_adj[idx])
-        else:
-            neighbors = (("r", ii) for ii in col_adj[idx])
-        for nxt in neighbors:
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    path_nodes = [target]
-    while prev[path_nodes[-1]] is not None:
-        path_nodes.append(prev[path_nodes[-1]])  # type: ignore[arg-type]
-    path_nodes.reverse()
-    cells = []
-    for (k1, i1), (_, i2) in zip(path_nodes, path_nodes[1:]):
-        cells.append((i1, i2) if k1 == "r" else (i2, i1))
-    return cells
-
-
 def solve_transport_lp(p, q, cost) -> LpSolution:
     """Solve the balanced transportation problem ``min <plan, cost>``.
 
     ``p`` and ``q`` must be strictly positive probability vectors and
     ``cost`` a finite matrix of shape ``(len(p), len(q))``.  Returns an
-    optimal basic solution.  Bland's rule cannot cycle, but on large
-    instances it can need more than ``_MAX_PIVOTS`` pivots; the solve then
-    stops and raises ``RuntimeError`` naming the shape and the pivot count.
+    optimal basic solution.  A pivot enters the cell of most negative
+    reduced cost, or after ``_DEGENERATE_SWITCH`` zero-step pivots in a row
+    the lowest-index negative one, until a pivot moves mass again.  Past
+    ``_MAX_PIVOTS`` pivots it raises ``RuntimeError`` naming the shape and limit.
     """
     p = _as_marginal(p, "p")
     q = _as_marginal(q, "q")
@@ -158,80 +130,96 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix must be finite")
     n, m = C.shape
+    costs = C.tolist()
+    flow: dict[int, float] = {}  # mass of basic cell i * m + j
+    adj: list[list[int]] = [[] for _ in range(n + m)]  # row i: node i, column j: node n + j
+    basic = np.zeros(n * m, dtype=bool)
 
-    x: dict[tuple[int, int], float] = {}
-    row_adj: list[set[int]] = [set() for _ in range(n)]
-    col_adj: list[set[int]] = [set() for _ in range(m)]
-    basic = np.zeros((n, m), dtype=bool)
+    def link(i: int, j: int, mass: float) -> None:
+        flow[i * m + j] = mass
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+        basic[i * m + j] = True
 
-    def add(i: int, j: int, v: float) -> None:
-        x[(i, j)] = v
-        row_adj[i].add(j)
-        col_adj[j].add(i)
-        basic[i, j] = True
+    def cell(node: int) -> int:  # the arc from node to its parent
+        up = parent[node]
+        return node * m + up - n if node < n else up * m + node - n
 
-    def drop(i: int, j: int) -> None:
-        del x[(i, j)]
-        row_adj[i].discard(j)
-        col_adj[j].discard(i)
-        basic[i, j] = False
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    pot = [0.0] * (n + m)  # duals: u_i + v_j = C_ij on basic cells
 
-    for i, j, v in _northwest_corner(p, q):
-        add(i, j, v)
-
-    u = np.zeros(n)
-    v = np.zeros(m)
-
-    def potentials() -> None:
-        u.fill(np.nan)
-        v.fill(np.nan)
-        u[0] = 0.0
-        stack: list[tuple[int, bool]] = [(0, True)]
+    def hang(top: int) -> None:
+        """Set parent, depth and potential below ``top``, given its own."""
+        stack = [top]
         while stack:
-            idx, is_row = stack.pop()
-            if is_row:
-                for jj in row_adj[idx]:
-                    if np.isnan(v[jj]):
-                        v[jj] = C[idx, jj] - u[idx]
-                        stack.append((jj, False))
-            else:
-                for ii in col_adj[idx]:
-                    if np.isnan(u[ii]):
-                        u[ii] = C[ii, idx] - v[idx]
-                        stack.append((ii, True))
+            a = stack.pop()
+            up = parent[a]
+            for b in adj[a]:
+                if b != up:
+                    parent[b] = a
+                    depth[b] = depth[a] + 1
+                    pot[b] = (costs[a][b - n] if a < n else costs[b][a - n]) - pot[a]
+                    stack.append(b)
 
+    for i, j, mass in _northwest_corner(p, q):
+        link(i, j, mass)
+    hang(0)
+
+    degenerate = 0
     for _ in range(_MAX_PIVOTS):
-        potentials()
-        rc = C - u[:, None] - v[None, :]
+        duals = np.array(pot)
+        rc = (C - duals[:n, None] - duals[None, n:]).ravel()
         rc[basic] = 0.0
-        negative = np.flatnonzero(rc.ravel() < -_RC_TOL)
-        if negative.size == 0:
+        if degenerate < _DEGENERATE_SWITCH:
+            enter = int(rc.argmin())
+        else:  # Bland's rule
+            enter = int(np.argmax(rc < -_RC_TOL))
+        if rc[enter] >= -_RC_TOL:
             break
-        ei, ej = divmod(int(negative[0]), m)  # Bland: lowest row-major index
-        path = _tree_path(ei, ej, row_adj, col_adj)
-        minus = path[0::2]
-        plus = path[1::2]
-        theta = min(x[c] for c in minus)
-        leave = min(c for c in minus if x[c] <= theta)
-        for c in plus:
-            x[c] += theta
-        for c in minus:
-            x[c] = max(x[c] - theta, 0.0)
-        drop(*leave)
-        add(ei, ej, theta)
+        ei, ej = divmod(enter, m)
+        # the cycle closes at the common ancestor of row ei and column ej;
+        # from either end, every other arc loses mass
+        a, b = ei, n + ej
+        side_a, side_b = [], []  # nodes below the cycle's arcs
+        while a != b:
+            if depth[a] >= depth[b]:
+                side_a.append(a)
+                a = parent[a]
+            else:
+                side_b.append(b)
+                b = parent[b]
+        losing = [(cell(x), x) for x in side_a[0::2] + side_b[0::2]]
+        theta = min(flow[c] for c, _ in losing)
+        leave, below = min(t for t in losing if flow[t[0]] <= theta)
+        for x in side_a[1::2] + side_b[1::2]:
+            flow[cell(x)] += theta
+        for c, _ in losing:
+            flow[c] = max(flow[c] - theta, 0.0)
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+        del flow[leave]
+        basic[leave] = False
+        li, lj = divmod(leave, m)
+        adj[li].remove(n + lj)
+        adj[n + lj].remove(li)
+        link(ei, ej, theta)
+        # the subtree cut off by the leaving arc hangs from the entering one
+        top, up = (ei, n + ej) if below in side_a else (n + ej, ei)
+        parent[top] = up
+        depth[top] = depth[up] + 1
+        pot[top] = costs[ei][ej] - pot[up]
+        hang(top)
     else:
         raise RuntimeError(
             f"transportation simplex reached the pivot limit of {_MAX_PIVOTS} pivots "
             f"on a {n}x{m} problem before proving optimality"
         )
 
-    plan = np.zeros((n, m))
-    for (i, j), val in x.items():
-        plan[i, j] = val
+    plan = np.bincount(list(flow), weights=list(flow.values()), minlength=n * m).reshape(n, m)
     value = float((plan * C).sum())
     result = TransportPlan(plan, p, q)
     result.validate(atol=1e-10)
-    return LpSolution(value=value, plan=result, dual_row=u.copy(), dual_col=v.copy())
+    return LpSolution(value=value, plan=result, dual_row=duals[:n], dual_col=duals[n:])
 
 
 def wasserstein_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> float:

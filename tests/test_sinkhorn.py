@@ -178,6 +178,35 @@ class TestSinkhornBatch:
             assert batch.dual_row[k] == pytest.approx(duals.beta, rel=0, abs=1e-12)
             assert batch.dual_col[k] == pytest.approx(duals.gamma, rel=0, abs=1e-12)
 
+    def test_normalization_underflow_matches_stabilized(self):
+        # max|lam * C| = 514 keeps the plain iteration, which converges, but
+        # the row scalings span more than the double range, so dividing by
+        # the largest one underflows the smallest to zero
+        p = np.array([0.1768, 0.2697, 0.5535])
+        q = np.array([0.4013, 0.3035, 0.2952])
+        C = np.array([[264.0, 222.0, 511.0], [-514.0, 219.0, 488.0], [-31.0, -190.0, 116.0]])
+        with pytest.raises(KernelUnderflowError):
+            sinkhorn(p, q, C, lam=1.0)
+        ref = sinkhorn_stabilized(p, q, C, lam=1.0)
+        ref_duals = dual_from_scalings(ref)
+        assert ref.converged
+        auto = sinkhorn_auto(p, q, C, lam=1.0)
+        duals = dual_from_scalings(auto)
+        assert auto.stabilized and auto.converged
+        assert auto.iterations == ref.iterations
+        assert auto.log_scaling_row == pytest.approx(ref.log_scaling_row, rel=1e-12)
+        assert duals.dual_value == pytest.approx(ref_duals.dual_value, rel=1e-12)
+        # a mild second problem keeps the plain lockstep path in the batch
+        batch = _sinkhorn_batch(np.stack([p, q]), np.stack([q, p]),
+                                np.stack([C, 1.0 - np.eye(3)]), lam=1.0)
+        assert batch.stabilized.tolist() == [True, False]
+        assert batch.converged.all()
+        assert batch.iterations[0] == ref.iterations
+        assert batch.plan[0] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+        assert batch.de_s[0] == pytest.approx(ref.de_s, rel=1e-12)
+        assert batch.dual_row[0] == pytest.approx(ref_duals.beta, rel=1e-12)
+        assert batch.dual_col[0] == pytest.approx(ref_duals.gamma, rel=1e-12)
+
 
 class TestEntropy:
     def test_uniform_plan(self):

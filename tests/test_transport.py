@@ -146,6 +146,78 @@ class TestSolveTransportLp:
             solve_transport_lp([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
 
 
+def degenerate_instances():
+    """Seeded instances with many optimal bases and zero-step pivots."""
+    rng = np.random.default_rng(5)
+    out = []
+    for n in (6, 25, 40):
+        # uniform marginals with integer costs: assignment problems
+        out.append((np.full(n, 1.0 / n), np.full(n, 1.0 / n),
+                    rng.integers(0, 4 * n, size=(n, n)).astype(float)))
+        # duplicated rows and columns, with their marginal entries
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        cost = rng.integers(0, 6, size=(n, n)).astype(float)
+        half = n // 2
+        p[half:2 * half] = p[:half]
+        q[half:2 * half] = q[:half]
+        cost[half:2 * half] = cost[:half]
+        cost[:, half:2 * half] = cost[:, :half]
+        out.append((p / p.sum(), q / q.sum(), cost))
+    # uniform marginals whose partial sums coincide: the north-west corner
+    # start is degenerate
+    n = 30
+    out.append((np.full(n, 1.0 / n), np.full(n // 2, 2.0 / n),
+                np.abs(np.subtract.outer(np.arange(n), 2.0 * np.arange(n // 2)))))
+    return out
+
+
+def random_instances():
+    rng = np.random.default_rng(17)
+    shapes = [(1, 7), (7, 1), (13, 40), (60, 25), (120, 90), (200, 200)]
+    return [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)),
+             rng.uniform(0.0, 10.0, size=(n, m))) for n, m in shapes]
+
+
+def highs_value(p, q, cost):
+    """Optimal value of the same transport LP from scipy's HiGHS solver."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    n, m = cost.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    res = optimize.linprog(np.ravel(cost), A_eq=a_eq, b_eq=np.concatenate([p, q]),
+                           bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("k", range(6))
+    def test_random_shapes(self, k):
+        p, q, cost = random_instances()[k]
+        sol = solve_transport_lp(p, q, cost)
+        assert sol.value == pytest.approx(highs_value(p, q, cost), rel=1e-9, abs=1e-12)
+        assert_certificate(sol, p, q, cost)
+
+    def test_degenerate_instances(self):
+        for p, q, cost in degenerate_instances():
+            sol = solve_transport_lp(p, q, cost)
+            assert sol.value == pytest.approx(highs_value(p, q, cost), rel=1e-9, abs=1e-12)
+            assert_certificate(sol, p, q, cost)
+
+
+class TestBlandFallback:
+    def test_bland_only_matches_dantzig(self, monkeypatch):
+        dantzig = [solve_transport_lp(*inst).value for inst in degenerate_instances()]
+        # a zero streak length prices every pivot by Bland's rule
+        monkeypatch.setattr(transport, "_DEGENERATE_SWITCH", 0)
+        for (p, q, cost), expected in zip(degenerate_instances(), dantzig):
+            sol = solve_transport_lp(p, q, cost)
+            assert sol.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert_certificate(sol, p, q, cost)
+
+
 class TestWassersteinDistance:
     def test_split_timing_pair(self):
         early, late = split_timing_pair(0.1)
