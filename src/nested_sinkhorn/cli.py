@@ -37,7 +37,6 @@ from .scenario_tree import (
     generate_random_tree,
     parse_tree,
     serialize_tree,
-    trajectories,
 )
 from .sinkhorn import sinkhorn_auto
 from .transport import wasserstein_distance
@@ -123,11 +122,10 @@ def _cmd_wasserstein(config: RunConfig) -> int:
 
 def _cmd_sinkhorn(config: RunConfig) -> int:
     tree_a, tree_b = _load_pair(config)
-    p = np.array([t.prob for t in trajectories(tree_a)])
-    q = np.array([t.prob for t in trajectories(tree_b)])
     cost = cost_matrix(tree_a, tree_b, config.r)
     start = time.perf_counter()
-    res = sinkhorn_auto(p, q, cost, config.lam, config.tol, config.max_iter)
+    res = sinkhorn_auto(tree_a.leaf_probabilities, tree_b.leaf_probabilities, cost,
+                        config.lam, config.tol, config.max_iter)
     elapsed = time.perf_counter() - start
     _emit(
         config,
@@ -344,70 +342,49 @@ def _build_parser() -> argparse.ArgumentParser:
     trees.add_argument("--tree-a", required=True, help="path to the first tree file (JSON)")
     trees.add_argument("--tree-b", required=True, help="path to the second tree file (JSON)")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--r", type=float, default=1.0, help="cost order r >= 1 (default 1)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="marginal stopping tolerance (default 1e-9)")
-    common.add_argument("--max-iter", type=int, default=100_000,
+    # an option left off the command line stays out of the namespace, so the
+    # defaults of RunConfig apply
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--r", type=float, help="cost order r >= 1 (default 1)")
+    common.add_argument("--tol", type=float, help="marginal stopping tolerance (default 1e-9)")
+    common.add_argument("--max-iter", type=int,
                         help="iteration cap per scaling subproblem (default 100000)")
-    common.add_argument("--output", choices=("csv", "json"), default="csv",
-                        help="report format (default csv)")
-    common.add_argument("--out", default=None, help="write the report to a file instead of stdout")
+    common.add_argument("--output", choices=("csv", "json"), help="report format (default csv)")
+    common.add_argument("--out", help="write the report to a file instead of stdout")
 
-    reg = argparse.ArgumentParser(add_help=False)
-    reg.add_argument("--lambda", dest="lam", type=float, default=20.0,
+    reg = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    reg.add_argument("--lambda", dest="lam", type=float,
                      help="regularization parameter (default 20)")
 
-    sub.add_parser("wasserstein", parents=[trees, common],
-                   help="flat transport distance between the leaf measures")
-    sub.add_parser("sinkhorn", parents=[trees, common, reg],
-                   help="regularized flat transport on the leaf measures")
-    sub.add_parser("nested", parents=[trees, common],
-                   help="exact nested distance")
-    sub.add_parser("nested-sinkhorn", parents=[trees, common, reg],
-                   help="regularized nested divergence")
-    sweep = sub.add_parser("sweep", parents=[trees, common],
-                           help="regularized nested values over a lambda grid")
-    sweep.add_argument("--lambdas", type=_float_list, default=None,
+    def command(name, parents, text):
+        return sub.add_parser(name, parents=parents, help=text, argument_default=argparse.SUPPRESS)
+
+    command("wasserstein", [trees, common], "flat transport distance between the leaf measures")
+    command("sinkhorn", [trees, common, reg], "regularized flat transport on the leaf measures")
+    command("nested", [trees, common], "exact nested distance")
+    command("nested-sinkhorn", [trees, common, reg], "regularized nested divergence")
+    sweep = command("sweep", [trees, common], "regularized nested values over a lambda grid")
+    sweep.add_argument("--lambdas", type=_float_list,
                        help="comma-separated grid (default 0.5,1,2,...,30)")
-    sub.add_parser("verify", parents=[trees, common, reg],
-                   help="run every verification report on a tree pair")
-    gen = sub.add_parser("gen", parents=[common], help="generate a random tree file")
+    command("verify", [trees, common, reg], "run every verification report on a tree pair")
+    gen = command("gen", [common], "generate a random tree file")
     gen.add_argument("--branching", type=_int_list, required=True,
                      help="per-stage branching factors, e.g. 1,2,3")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    bench = sub.add_parser("bench", parents=[common, reg],
-                           help="exact-vs-regularized benchmark over growing stage counts")
-    bench.add_argument("--branching-a", type=_int_list, default=_BENCH_BRANCHING_A,
+    gen.add_argument("--seed", type=int, help="generator seed (default 0)")
+    bench = command("bench", [common, reg],
+                    "exact-vs-regularized benchmark over growing stage counts")
+    bench.add_argument("--branching-a", type=_int_list,
                        help="branching of the first tree family (default 1,2,3,2,3,4)")
-    bench.add_argument("--branching-b", type=_int_list, default=_BENCH_BRANCHING_B,
+    bench.add_argument("--branching-b", type=_int_list,
                        help="branching of the second tree family (default 1,2,2,1,3,2)")
-    bench.add_argument("--max-stages", type=int, default=5,
+    bench.add_argument("--max-stages", type=int,
                        help="largest stage count to benchmark (default 5)")
-    bench.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    bench.add_argument("--seed", type=int, help="generator seed (default 0)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        tree_a=getattr(args, "tree_a", None),
-        tree_b=getattr(args, "tree_b", None),
-        r=getattr(args, "r", 1.0),
-        lam=getattr(args, "lam", 20.0),
-        lambdas=getattr(args, "lambdas", None),
-        tol=getattr(args, "tol", 1e-9),
-        max_iter=getattr(args, "max_iter", 100_000),
-        output=getattr(args, "output", "csv"),
-        seed=getattr(args, "seed", 0),
-        branching=getattr(args, "branching", None),
-        branching_a=getattr(args, "branching_a", _BENCH_BRANCHING_A),
-        branching_b=getattr(args, "branching_b", _BENCH_BRANCHING_B),
-        max_stages=getattr(args, "max_stages", 5),
-        out=getattr(args, "out", None),
-    )
-    return run(config)
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

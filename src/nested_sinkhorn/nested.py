@@ -24,7 +24,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._simplex import solve_lp
-from .scenario_tree import ScenarioTree, cost_matrix, trajectories
+from .scenario_tree import ScenarioTree, cost_matrix
 from .sinkhorn import CheckResult, _marginal_errors, _sinkhorn_batch, bounded_check, entropy
 from .transport import TransportPlan, solve_transport_lp
 
@@ -153,10 +153,8 @@ def _shape_groups(
                np.array([sp.col_probs for sp in group]), np.array([sp.cost for sp in group]))
 
 
-def _check_pair(tree_a: ScenarioTree, tree_b: ScenarioTree) -> None:
-    if tree_a.height != tree_b.height:
-        raise ValueError(f"trees have different heights: {tree_a.height} vs {tree_b.height}")
-    if tree_a.height < 1:
+def _check_height(tree: ScenarioTree) -> None:
+    if tree.height < 1:
         raise ValueError("nested distances need trees of height at least 1")
 
 
@@ -277,8 +275,8 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
     distance.  The composed leaf-pair plan is optimal for the flat
     formulation with conditional-marginal constraints.
     """
-    _check_pair(tree_a, tree_b)
     leaf_cost = cost_matrix(tree_a, tree_b, r)
+    _check_height(tree_a)
 
     def solve_stage(problems: list[_Subproblem]):
         solved = []
@@ -305,8 +303,6 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
 
     tables, stats, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_stage)
     composed = _compose(tree_a, tree_b, tables)
-    p = np.array([t.prob for t in trajectories(tree_a)])
-    q = np.array([t.prob for t in trajectories(tree_b)])
     value_pow = max(root_value, 0.0)
     value = value_pow ** (1.0 / r)
     return NestedResult(
@@ -315,7 +311,8 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
         value_pow=value_pow,
         value_with_entropy_pow=value_pow,
         stage_tables=tables,
-        composed_plan=TransportPlan(composed, p, q),
+        composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
+                                    tree_b.leaf_probabilities),
         method="exact",
         lam=None,
         total_entropy=entropy(composed),
@@ -339,10 +336,10 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     push the composed plan's feasibility beyond ``tol``.  A subproblem hitting
     ``max_iter`` flags the whole result as unconverged instead of raising.
     """
-    _check_pair(tree_a, tree_b)
+    leaf_cost = cost_matrix(tree_a, tree_b, r)
+    _check_height(tree_a)
     if lam <= 0.0:
         raise ValueError(f"regularization parameter must be positive, got {lam}")
-    leaf_cost = cost_matrix(tree_a, tree_b, r)
     sub_tol = tol / tree_a.height
 
     def solve_stage(problems: list[_Subproblem]):
@@ -372,8 +369,6 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
 
     tables, stats, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_stage)
     composed = _compose(tree_a, tree_b, tables)
-    p = np.array([t.prob for t in trajectories(tree_a)])
-    q = np.array([t.prob for t in trajectories(tree_b)])
     value_pow = float((composed * leaf_cost).sum())
     return NestedResult(
         value=_signed_root(value_pow, r),
@@ -381,7 +376,8 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
         value_pow=value_pow,
         value_with_entropy_pow=root_value,
         stage_tables=tables,
-        composed_plan=TransportPlan(composed, p, q),
+        composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
+                                    tree_b.leaf_probabilities),
         method="sinkhorn",
         lam=lam,
         total_entropy=entropy(composed),
@@ -403,7 +399,6 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     intended for desk-scale instances (``n_leaves_a * n_leaves_b`` capped by
     ``max_cells``).
     """
-    _check_pair(tree_a, tree_b)
     na = tree_a.n_leaves
     nb = tree_b.n_leaves
     if na * nb > max_cells:
@@ -411,6 +406,7 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
             f"instance too large for the flat LP: {na} x {nb} leaf pairs exceeds {max_cells}"
         )
     cost = cost_matrix(tree_a, tree_b, r)
+    _check_height(tree_a)
     leaves_a = _leaf_positions(tree_a)
     leaves_b = _leaf_positions(tree_b)
     ncells = na * nb
@@ -438,9 +434,8 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                     rhs.append(0.0)
     x, value = solve_lp(cost.ravel(), np.array(rows), np.array(rhs))
     plan = x.reshape(na, nb)
-    p = np.array([t.prob for t in trajectories(tree_a)])
-    q = np.array([t.prob for t in trajectories(tree_b)])
-    return max(value, 0.0) ** (1.0 / r), TransportPlan(plan, p, q)
+    return max(value, 0.0) ** (1.0 / r), TransportPlan(plan, tree_a.leaf_probabilities,
+                                                       tree_b.leaf_probabilities)
 
 
 def conditional_marginal_residuals(tree_a: ScenarioTree, tree_b: ScenarioTree,

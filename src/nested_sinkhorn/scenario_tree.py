@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,6 +167,13 @@ class ScenarioTree:
     def n_leaves(self) -> int:
         return len(self.leaf_ids)
 
+    @cached_property
+    def leaf_probabilities(self) -> np.ndarray:
+        """Trajectory probabilities in leaf order; computed once, read-only."""
+        probs = np.array([t.prob for t in trajectories(self)])
+        probs.flags.writeable = False
+        return probs
+
 
 def parse_tree(text: str) -> ScenarioTree:
     """Parse the JSON tree interchange format into a validated tree.
@@ -286,14 +294,15 @@ def ground_cost(a: Trajectory, b: Trajectory, r: float = 1.0) -> float:
 def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> np.ndarray:
     """Dense matrix of pairwise trajectory costs ``ground_cost(a_i, b_j, r)``.
 
-    Rows follow ``tree_a``'s leaf order, columns ``tree_b``'s.
+    Rows follow ``tree_a``'s leaf order, columns ``tree_b``'s.  Trees of
+    different heights are rejected here and nowhere else.
     """
-    if r < 1.0:
-        raise ValueError(f"order r must be >= 1, got {r}")
     if tree_a.height != tree_b.height:
         raise ValueError(
             f"trees have different heights: {tree_a.height} vs {tree_b.height}"
         )
+    if r < 1.0:
+        raise ValueError(f"order r must be >= 1, got {r}")
     sa = np.array([t.states for t in trajectories(tree_a)])
     sb = np.array([t.states for t in trajectories(tree_b)])
     base = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2)

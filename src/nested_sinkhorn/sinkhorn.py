@@ -2,14 +2,16 @@
 
 The fixed-point scaling iteration is provided in two numerically distinct
 flavours: the plain multiplicative form on the kernel ``exp(-lam * cost)``
-and a log-domain form that survives arbitrarily large ``lam * cost`` via
-log-sum-exp.  Both stop on the max-norm marginal violation, normalize the
-scaling pair so the largest row scaling is one, and report the plan, its
-cost, its entropy, and the entropic objective.  A batched form runs the
-automatic choice between them on a stack of same-shape problems at once,
-for the stagewise subproblems of the nested recursion.  Dual multipliers
-recovered from the scalings certify the result against the exact linear
-program.
+and a log-domain form that survives arbitrarily large ``lam * cost``.  The
+latter sweeps multiplicatively on a kernel with the log potentials absorbed
+and repairs any sweep that leaves the safe scaling range by a log-sum-exp
+sweep (Schmitzer, arXiv:1610.06519).  Both stop on the max-norm marginal
+violation, normalize the scaling pair so the largest row scaling is one,
+and report the plan, its cost, its entropy, and the entropic objective.  A
+batched form runs the automatic choice between them on a stack of
+same-shape problems at once, for the stagewise subproblems of the nested
+recursion.  Dual multipliers recovered from the scalings certify the
+result against the exact linear program.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 
 STABILIZE_THRESHOLD = 600.0  # |lam * cost| beyond which exp() risks under/overflow
 BOUND_SLACK = 1e-8           # tolerance granted to every checked inequality
+_ABSORB_RANGE = (1e-30, 1e30)  # sinkhorn_stabilized keeps its scalings strictly inside
 
 
 class KernelUnderflowError(FloatingPointError):
@@ -256,29 +259,48 @@ def sinkhorn_stabilized(p, q, cost, lam: float, tol: float = 1e-9,
                         max_iter: int = 100_000) -> SinkhornResult:
     """Log-domain scaling iteration; same contract as :func:`sinkhorn`.
 
-    Scalings are carried as logs and kernel products evaluated by
-    log-sum-exp, so no magnitude of ``lam * cost`` can underflow the
-    iteration.  Agrees with the plain variant wherever both converge.
+    Absorption stabilization (Schmitzer, arXiv:1610.06519): plain scalings
+    ``u, v`` sweep on the kernel ``exp(f - lam * cost + g)`` with the log
+    potentials ``f, g`` absorbed.  The first sweep, and any sweep that would
+    take ``u`` or ``v`` out of :data:`_ABSORB_RANGE`, is run by log-sum-exp
+    instead, after absorbing ``v`` into ``g``; then the kernel is rebuilt.
+    So no magnitude of ``lam * cost`` can underflow the iteration, and the
+    iterates are those of log-sum-exp sweeps up to round-off.
     """
     p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
     km = -lam * C
     log_p = np.log(p)
     log_q = np.log(q)
-    f = np.zeros(p.size)
+    low, high = _ABSORB_RANGE
     g = np.zeros(q.size)
+    K = None
     it = 0
-    while True:
-        t = _logsumexp(km + g[None, :], axis=1)
-        if it > 0:
-            err = float(np.abs(np.exp(f + t) - p).max())
-            if err <= tol or it >= max_iter:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            if K is None:
+                f = log_p - _logsumexp(km + g[None, :], axis=1)
+                g = log_q - _logsumexp(km + f[:, None], axis=0)
+                it += 1
+                K = np.exp(f[:, None] + km + g[None, :])
+                u = np.ones(p.size)
+                v = np.ones(q.size)
+            t = K @ v
+            if np.abs(u * t - p).max() <= tol or it >= max_iter:
                 break
-        f = log_p - t
-        g = log_q - _logsumexp(km + f[:, None], axis=0)
-        it += 1
+            u_next = p / t
+            v_next = q / (K.T @ u_next)
+            # a NaN fails every comparison, so non-finite scalings are discarded too
+            if (u_next.min() > low and u_next.max() < high
+                    and v_next.min() > low and v_next.max() < high):
+                u, v = u_next, v_next
+                it += 1
+            else:
+                g = g + np.log(v)
+                K = None
+    f = f + np.log(u)
     shift = f.max()
     f = f - shift
-    g = g + shift
+    g = g + np.log(v) + shift
     log_plan = f[:, None] + km + g[None, :]
     plan = np.exp(log_plan)
     return _finalize(p, q, C, lam, plan, f, g, it, tol, stabilized=True, log_plan=log_plan)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario_tree import ScenarioTree, cost_matrix, trajectories
+from .scenario_tree import ScenarioTree, cost_matrix
 
 __all__ = [
     "LpSolution",
@@ -229,9 +229,6 @@ def wasserstein_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 
     trajectory distributions against the pairwise trajectory costs and takes
     the r-th root of the optimal value.
     """
-    if tree_a.height != tree_b.height:
-        raise ValueError(f"trees have different heights: {tree_a.height} vs {tree_b.height}")
-    p = np.array([t.prob for t in trajectories(tree_a)])
-    q = np.array([t.prob for t in trajectories(tree_b)])
-    sol = solve_transport_lp(p, q, cost_matrix(tree_a, tree_b, r))
+    cost = cost_matrix(tree_a, tree_b, r)
+    sol = solve_transport_lp(tree_a.leaf_probabilities, tree_b.leaf_probabilities, cost)
     return max(sol.value, 0.0) ** (1.0 / r)

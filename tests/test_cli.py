@@ -7,6 +7,7 @@ import pytest
 
 from conftest import height3_pair, split_timing_pair
 from nested_sinkhorn import flat_nested_lp, parse_tree, serialize_tree, wasserstein_distance
+from nested_sinkhorn import cli
 from nested_sinkhorn.cli import RunConfig, main, run
 
 TIMING_COLUMNS = {"wall_time_s", "wall_time_exact_s", "wall_time_sinkhorn_s", "acceleration"}
@@ -210,3 +211,25 @@ class TestExitCodes:
     def test_unknown_command(self):
         config = RunConfig(command="nope")
         assert run(config) == 2
+
+    @pytest.mark.parametrize("command", ["wasserstein", "sinkhorn", "nested",
+                                         "nested-sinkhorn", "sweep", "verify"])
+    def test_height_mismatch_message(self, tmp_path, capsys, command):
+        early, _ = split_timing_pair(0.1)
+        tree_a, _ = height3_pair()
+        path_a, path_b = write_pair(tmp_path, (early, tree_a))
+        assert main([command, "--tree-a", path_a, "--tree-b", path_b]) == 2
+        assert "trees have different heights: 2 vs 3" in capsys.readouterr().err
+
+
+def test_omitted_options_take_run_config_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    main(["bench"])
+    main(["sinkhorn", "--tree-a", "a.json", "--tree-b", "b.json", "--lambda", "3"])
+    main(["gen", "--branching", "1,2"])
+    assert seen == [
+        RunConfig(command="bench"),
+        RunConfig(command="sinkhorn", tree_a="a.json", tree_b="b.json", lam=3.0),
+        RunConfig(command="gen", branching=(1, 2)),
+    ]

@@ -148,6 +148,14 @@ class TestTrajectories:
             total = math.fsum(t.prob for t in trajectories(tree))
             assert abs(total - 1.0) < 1e-12
 
+    def test_leaf_probabilities_cached_and_read_only(self):
+        tree = generate_random_tree([1, 3, 2, 2], 4)
+        probs = tree.leaf_probabilities
+        assert probs.tolist() == [t.prob for t in trajectories(tree)]
+        assert tree.leaf_probabilities is probs
+        with pytest.raises(ValueError):
+            probs[0] = 0.5
+
 
 class TestGroundCost:
     def test_epsilon_shift(self):

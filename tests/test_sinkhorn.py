@@ -1,5 +1,6 @@
 """Scaling iteration, entropy accounting, duals, and comparison bounds."""
 
+import importlib
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ from nested_sinkhorn import (
     sinkhorn_stabilized,
     solve_transport_lp,
 )
-from nested_sinkhorn.sinkhorn import _sinkhorn_batch
+from nested_sinkhorn.sinkhorn import _finalize, _sinkhorn_batch, _validate_inputs
+
+# the package exports the function ``sinkhorn``, which hides the module of that name
+sinkhorn_module = importlib.import_module("nested_sinkhorn.sinkhorn")
 
 HALF = np.array([0.5, 0.5])
 FLIP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -153,6 +157,107 @@ class TestSinkhornStabilized:
         extreme = sinkhorn_auto(HALF, HALF, FLIP_COST, lam=2000.0)
         assert extreme.stabilized
         assert extreme.converged
+
+
+def _lse(a, axis):
+    peak = a.max(axis=axis, keepdims=True)
+    return peak.squeeze(axis) + np.log(np.exp(a - peak).sum(axis=axis))
+
+
+def log_domain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
+    """The pure log-sum-exp iteration: both kernel products of every sweep
+    by log-sum-exp.  ``sinkhorn_stabilized`` must reproduce its iterates up
+    to round-off."""
+    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    km = -lam * C
+    log_p = np.log(p)
+    log_q = np.log(q)
+    f = np.zeros(p.size)
+    g = np.zeros(q.size)
+    it = 0
+    while True:
+        t = _lse(km + g[None, :], axis=1)
+        if it > 0:
+            err = float(np.abs(np.exp(f + t) - p).max())
+            if err <= tol or it >= max_iter:
+                break
+        f = log_p - t
+        g = log_q - _lse(km + f[:, None], axis=0)
+        it += 1
+    shift = f.max()
+    f = f - shift
+    g = g + shift
+    log_plan = f[:, None] + km + g[None, :]
+    return _finalize(p, q, C, lam, np.exp(log_plan), f, g, it, tol, stabilized=True,
+                     log_plan=log_plan)
+
+
+def signed_instance(rng, m, n, magnitude):
+    """Random marginals and a mixed-sign cost with max |cost| = 1, solved at
+    ``lam = magnitude`` so that max |lam * cost| = magnitude."""
+    cost = rng.uniform(-1.0, 1.0, size=(m, n))
+    return (rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)),
+            cost / np.abs(cost).max(), float(magnitude))
+
+
+class TestAbsorbedIteration:
+    """``sinkhorn_stabilized`` sweeps multiplicatively on an absorbed kernel
+    and must follow the pure log-sum-exp iteration sweep for sweep.  The log
+    potentials carry an absolute round-off proportional to max |lam * cost|,
+    so values are compared to 1e-12 of that scale."""
+
+    @staticmethod
+    def assert_same(p, q, cost, lam, tol=1e-9, max_iter=2000):
+        res = sinkhorn_stabilized(p, q, cost, lam, tol, max_iter)
+        ref = log_domain_reference(p, q, cost, lam, tol, max_iter)
+        assert res.iterations == ref.iterations
+        assert res.converged == ref.converged
+        assert res.stabilized
+        atol = 1e-12 * max(1.0, float(np.abs(lam * cost).max()))
+        assert res.plan.matrix == pytest.approx(ref.plan.matrix, rel=0, abs=atol)
+        assert res.log_scaling_row == pytest.approx(ref.log_scaling_row, rel=0, abs=atol)
+        assert res.log_scaling_col == pytest.approx(ref.log_scaling_col, rel=0, abs=atol)
+        assert res.de_s == pytest.approx(ref.de_s, rel=0, abs=atol)
+        assert res.log_scaling_row.max() == 0.0
+        return res
+
+    @pytest.mark.parametrize("magnitude", [10.0, 1e2, 1e3, 1e4, 1e5])
+    def test_random_signed_costs(self, magnitude):
+        rng = np.random.default_rng(int(magnitude))
+        for _ in range(6):
+            m, n = (int(k) for k in rng.integers(1, 9, size=2))
+            self.assert_same(*signed_instance(rng, m, n, magnitude))
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)])
+    @pytest.mark.parametrize("magnitude", [10.0, 1e3, 1e5])
+    def test_single_row_or_column(self, shape, magnitude):
+        rng = np.random.default_rng(5)
+        res = self.assert_same(*signed_instance(rng, *shape, magnitude))
+        assert res.converged
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_truncation(self, max_iter):
+        rng = np.random.default_rng(9)
+        for magnitude in (10.0, 1e3, 1e5):
+            res = self.assert_same(*signed_instance(rng, 6, 5, magnitude), max_iter=max_iter)
+            assert res.iterations == max_iter
+
+    def test_absorb_and_redo(self, monkeypatch):
+        # at lam = 1000 the scalings leave the safe range every few hundred
+        # sweeps, so sinkhorn_stabilized must discard sweeps and redo them
+        # by log-sum-exp; its first sweep accounts for two calls
+        calls = []
+        log_sum_exp = sinkhorn_module._logsumexp
+
+        def counted(a, axis):
+            calls.append(axis)
+            return log_sum_exp(a, axis)
+
+        monkeypatch.setattr(sinkhorn_module, "_logsumexp", counted)
+        rng = np.random.default_rng(3)
+        res = self.assert_same(*signed_instance(rng, 4, 4, 1000.0))
+        assert res.converged
+        assert len(calls) > 2
 
 
 class TestSinkhornBatch:
