@@ -3,29 +3,33 @@
 The exact nested distance runs a backward recursion over stages: at every
 node pair it solves a small transportation problem whose costs are the
 values of the child pairs one stage later, and whose marginals are the two
-conditional branch distributions.  The regularized variant replaces each
-subproblem with a scaling iteration, run for a whole stage at once, and
-propagates the full entropic objective.  A single flat linear program over
-leaf-pair variables with cross-multiplied conditional-marginal constraints
-serves as an independent oracle for both, and the remaining functions
-verify the identities the recursion is supposed to satisfy: flat
-feasibility of the composed plan, objective equality, the Gibbs
-decomposition of the composed coupling, the comparison bounds, and the
-martingale property of the dual process.
+conditional branch distributions.  The regularized variant solves each
+subproblem by a scaling iteration and propagates the full entropic
+objective.  A stage is solved in groups of same-shape subproblems into one
+:class:`StageTable` of dense arrays, which later stage walks read by the
+trees' index arrays.  A flat linear program over leaf-pair variables with
+cross-multiplied conditional-marginal constraints is an independent oracle
+for both; the remaining functions verify flat feasibility of the composed
+plan, objective equality, the Gibbs decomposition of the composed coupling,
+the comparison bounds, and the martingale property of the dual process.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._simplex import solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
-from .sinkhorn import CheckResult, _marginal_errors, _sinkhorn_batch, bounded_check, entropy
+from .sinkhorn import (CheckResult, _BatchResult, _marginal_errors, _sinkhorn_batch,
+                       bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
 __all__ = [
@@ -36,6 +40,7 @@ __all__ = [
     "NestedBoundReport",
     "NestedResult",
     "StageStats",
+    "StageTable",
     "SweepRow",
     "conditional_marginal_residuals",
     "flat_nested_lp",
@@ -73,6 +78,47 @@ class ConditionalSolution:
     converged: bool
 
 
+@dataclass(eq=False)
+class StageTable(Mapping):
+    """The solved subproblems of one stage as dense read-only arrays (layout
+    in :class:`NestedResult`); as a mapping, keyed by node-id pairs in stage
+    order, it builds each pair's :class:`ConditionalSolution` on access."""
+
+    tree_a: ScenarioTree
+    tree_b: ScenarioTree
+    stage: int
+    value: np.ndarray
+    entropy: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    plan: np.ndarray
+    dual_row: np.ndarray
+    dual_col: np.ndarray
+
+    def __getitem__(self, pair: tuple[int, int]) -> ConditionalSolution:
+        ia, jb = pair
+        index_a, index_b = self.tree_a.stage_index, self.tree_b.stage_index
+        t = self.stage
+        i, j = index_a.position[t][ia], index_b.position[t][jb]
+        kids_a, kids_b = self.tree_a.children(ia), self.tree_b.children(jb)
+        rows = [index_a.position[t + 1][c] for c in kids_a]
+        cols = [index_b.position[t + 1][c] for c in kids_b]
+        return ConditionalSolution(
+            row_children=kids_a, col_children=kids_b,
+            row_probs=index_a.cond_prob[t + 1][rows], col_probs=index_b.cond_prob[t + 1][cols],
+            plan=self.plan[np.ix_(rows, cols)], value=float(self.value[i, j]),
+            dual_row=self.dual_row[rows, j], dual_col=self.dual_col[i, cols],
+            entropy=float(self.entropy[i, j]), iterations=int(self.iterations[i, j]),
+            converged=bool(self.converged[i, j]),
+        )
+
+    def __iter__(self):
+        return itertools.product(self.tree_a.stage(self.stage), self.tree_b.stage(self.stage))
+
+    def __len__(self) -> int:
+        return self.value.size
+
+
 @dataclass
 class StageStats:
     """Where one stage of the backward recursion spent its work.
@@ -108,13 +154,24 @@ class NestedResult:
     against the leaf costs while ``value_with_entropy`` is the recursion's
     root value, which also subtracts ``total_entropy / lam``.  ``stats``
     holds one :class:`StageStats` record per stage, in stage order.
+
+    ``stage_tables[t]`` is the :class:`StageTable` of stage ``t``, whose node
+    pairs are the full product ``tree_a.stage(t) x tree_b.stage(t)``, so each
+    stage-(t+1) pair has exactly one parent pair.  Its arrays are indexed by
+    position within the stage; with ``Na``, ``Nb`` the stage-t sizes and
+    ``Ma``, ``Mb`` the stage-(t+1) sizes, ``value``, ``entropy``,
+    ``iterations`` and ``converged`` are ``[Na, Nb]``, ``plan`` is ``[Ma, Mb]``
+    (each child pair's entry in its parent pair's conditional plan),
+    ``dual_row`` is ``[Ma, Nb]`` and ``dual_col`` is ``[Na, Mb]``.
+    ``stage_tables[t][(ia, jb)]`` builds one pair's
+    :class:`ConditionalSolution` and ``len()`` is the pair count.
     """
 
     value: float
     value_with_entropy: float
     value_pow: float
     value_with_entropy_pow: float
-    stage_tables: list[dict[tuple[int, int], ConditionalSolution]]
+    stage_tables: list[StageTable]
     composed_plan: TransportPlan
     method: str
     lam: Optional[float]
@@ -122,35 +179,6 @@ class NestedResult:
     converged: bool
     total_iterations: int
     stats: list[StageStats] = field(default_factory=list)
-
-
-class _Subproblem(NamedTuple):
-    """Conditional transport problem at one node pair."""
-
-    row_children: tuple[int, ...]
-    col_children: tuple[int, ...]
-    row_probs: np.ndarray
-    col_probs: np.ndarray
-    cost: np.ndarray
-
-
-# solves one stage's subproblems; returns their solutions in order, the
-# number solved in the log domain and the largest plan marginal violation
-StageSolver = Callable[[list[_Subproblem]], tuple[list[ConditionalSolution], int, float]]
-
-
-def _shape_groups(
-    problems: list[_Subproblem],
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """The subproblems grouped by cost shape; yields each group's indices
-    with its stacked row marginals, column marginals and costs."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, sp in enumerate(problems):
-        groups.setdefault(sp.cost.shape, []).append(k)
-    for members in groups.values():
-        group = [problems[k] for k in members]
-        yield (members, np.array([sp.row_probs for sp in group]),
-               np.array([sp.col_probs for sp in group]), np.array([sp.cost for sp in group]))
 
 
 def _check_height(tree: ScenarioTree) -> None:
@@ -164,107 +192,108 @@ def _signed_root(x: float, r: float) -> float:
     return math.copysign(abs(x) ** (1.0 / r), x)
 
 
-def _child_positions(tree: ScenarioTree) -> dict[int, int]:
-    pos = {}
-    for node in tree.nodes:
-        for k, cid in enumerate(tree.children(node.id)):
-            pos[cid] = k
-    return pos
+def _leaf_pairs(tree_a: ScenarioTree, tree_b: ScenarioTree, s: int, u: int):
+    """Index spreading a [stage s of A, stage u of B] array over the leaf pairs."""
+    return np.ix_(tree_a.stage_index.ancestor[s], tree_b.stage_index.ancestor[u])
 
 
-def _leaf_positions(tree: ScenarioTree) -> dict[int, np.ndarray]:
-    """Leaf indices (in leaf order) of the subtree below every node."""
-    index = {leaf: k for k, leaf in enumerate(tree.leaf_ids)}
-    out: dict[int, np.ndarray] = {}
-
-    def collect(nid: int) -> list[int]:
-        kids = tree.children(nid)
-        if not kids:
-            return [index[nid]]
-        acc: list[int] = []
-        for cid in kids:
-            acc.extend(collect(cid))
-        return acc
-
-    for node in tree.nodes:
-        out[node.id] = np.array(collect(node.id), dtype=int)
-    return out
+def _group_sum(x: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of ``x`` along ``axis`` within the groups ``index`` labels 0, 1, ..."""
+    x = np.moveaxis(x, axis, 0)
+    out = np.zeros((int(index.max()) + 1,) + x.shape[1:])
+    np.add.at(out, index, x)
+    return np.moveaxis(out, 0, axis)
 
 
 def _solve_stagewise(
     tree_a: ScenarioTree,
     tree_b: ScenarioTree,
     leaf_cost: np.ndarray,
-    solve_stage: StageSolver,
-) -> tuple[list[dict[tuple[int, int], ConditionalSolution]], list[StageStats], float]:
-    """Backward recursion over stages; returns the stage tables, the
-    per-stage statistics and the root value.  The node pairs of a stage are
-    independent, so each stage goes to ``solve_stage`` as one list."""
-    T = tree_a.height
-    pos_a = {leaf: k for k, leaf in enumerate(tree_a.leaf_ids)}
-    pos_b = {leaf: k for k, leaf in enumerate(tree_b.leaf_ids)}
-    values: dict[tuple[int, int], float] = {
-        (ia, jb): float(leaf_cost[pos_a[ia], pos_b[jb]])
-        for ia in tree_a.leaf_ids
-        for jb in tree_b.leaf_ids
-    }
-    tables: list[dict[tuple[int, int], ConditionalSolution]] = []
+    solve_group: Callable[[np.ndarray, np.ndarray, np.ndarray], _BatchResult],
+) -> tuple[list[StageTable], list[StageStats]]:
+    """Backward recursion over stages; returns the stage tables and the
+    per-stage statistics, in stage order.  A stage's node pairs are grouped
+    by child counts ``(m, n)``; ``solve_group`` gets each group in pair order
+    as stacked row marginals ``[B, m]``, column marginals ``[B, n]`` and
+    costs ``[B, m, n]`` gathered from the next stage's values (the leaf costs
+    at the last stage, whose nodes are the leaves)."""
+    index_a, index_b = tree_a.stage_index, tree_b.stage_index
+    next_value = leaf_cost
+    tables: list[StageTable] = []
     stats: list[StageStats] = []
-    for t in range(T - 1, -1, -1):
+    for t in range(tree_a.height - 1, -1, -1):
         start = time.perf_counter()
-        probs_b = {jb: tree_b.branch_probabilities(jb) for jb in tree_b.stage(t)}
-        pairs = []
-        problems = []
-        for ia in tree_a.stage(t):
-            kids_a = tree_a.children(ia)
-            pa = tree_a.branch_probabilities(ia)
-            for jb in tree_b.stage(t):
-                kids_b = tree_b.children(jb)
-                cost = np.array([[values[(x, y)] for y in kids_b] for x in kids_a])
-                pairs.append((ia, jb))
-                problems.append(_Subproblem(kids_a, kids_b, pa, probs_b[jb], cost))
-        solved, stabilized, worst = solve_stage(problems)
-        tables.append(dict(zip(pairs, solved)))
-        values = {pair: sol.value for pair, sol in zip(pairs, solved)}
-        iterations = [sol.iterations for sol in solved]
+        (Na, Nb), (Ma, Mb) = (len(tree_a.stage(t)), len(tree_b.stage(t))), next_value.shape
+        table = StageTable(
+            tree_a, tree_b, t, value=np.empty((Na, Nb)), entropy=np.empty((Na, Nb)),
+            iterations=np.empty((Na, Nb), dtype=int), converged=np.empty((Na, Nb), dtype=bool),
+            plan=np.empty((Ma, Mb)), dual_row=np.empty((Ma, Nb)), dual_col=np.empty((Na, Mb)),
+        )
+        stabilized = 0
+        worst = 0.0
+        for nodes_a, kids_a in index_a.children[t].values():
+            for nodes_b, kids_b in index_b.children[t].values():
+                (I, m), (J, n) = kids_a.shape, kids_b.shape
+                pairs = np.ix_(nodes_a, nodes_b)
+                child_pairs = (kids_a[:, None, :, None], kids_b[None, :, None, :])
+                batch = solve_group(np.repeat(index_a.cond_prob[t + 1][kids_a], J, axis=0),
+                                    np.tile(index_b.cond_prob[t + 1][kids_b], (I, 1)),
+                                    next_value[child_pairs].reshape(I * J, m, n))
+                table.value[pairs] = batch.de_s.reshape(I, J)
+                table.entropy[pairs] = batch.entropy.reshape(I, J)
+                table.iterations[pairs] = batch.iterations.reshape(I, J)
+                table.converged[pairs] = batch.converged.reshape(I, J)
+                table.plan[child_pairs] = batch.plan.reshape(I, J, m, n)
+                table.dual_row[kids_a[:, None, :], nodes_b[None, :, None]] = \
+                    batch.dual_row.reshape(I, J, m)
+                table.dual_col[nodes_a[:, None, None], kids_b[None, :, :]] = \
+                    batch.dual_col.reshape(I, J, n)
+                stabilized += int(batch.stabilized.sum())
+                worst = max(worst, float(batch.marginal_error.max()))
+        for array_field in fields(table)[3:]:  # the fields after tree_a, tree_b, stage
+            getattr(table, array_field.name).flags.writeable = False
+        tables.append(table)
         stats.append(StageStats(
             stage=t,
-            subproblems=len(problems),
-            shapes=sorted({sp.cost.shape for sp in problems}),
-            iterations=sum(iterations),
-            iterations_min=min(iterations),
-            iterations_median=float(np.median(iterations)),
-            iterations_max=max(iterations),
+            subproblems=len(table),
+            shapes=[(m, n) for m in index_a.children[t] for n in index_b.children[t]],
+            iterations=int(table.iterations.sum()),
+            iterations_min=int(table.iterations.min()),
+            iterations_median=float(np.median(table.iterations)),
+            iterations_max=int(table.iterations.max()),
             stabilized=stabilized,
             max_marginal_error=worst,
             wall_s=time.perf_counter() - start,
         ))
+        next_value = table.value
     tables.reverse()
     stats.reverse()
-    return tables, stats, values[(tree_a.root_id, tree_b.root_id)]
+    return tables, stats
 
 
-def _compose(
-    tree_a: ScenarioTree,
-    tree_b: ScenarioTree,
-    tables: list[dict[tuple[int, int], ConditionalSolution]],
-) -> np.ndarray:
-    """Leaf-pair coupling as the stagewise entrywise product of conditional
-    plans along the two predecessor paths."""
-    paths_a = tree_a.leaf_paths()
-    paths_b = tree_b.leaf_paths()
-    cpos_a = _child_positions(tree_a)
-    cpos_b = _child_positions(tree_b)
-    T = len(tables)
-    out = np.ones((len(paths_a), len(paths_b)))
-    for ia, pa in enumerate(paths_a):
-        for jb, pb in enumerate(paths_b):
-            w = 1.0
-            for t in range(T):
-                sol = tables[t][(pa[t], pb[t])]
-                w *= sol.plan[cpos_a[pa[t + 1]], cpos_b[pb[t + 1]]]
-            out[ia, jb] = w
+def _compose(tree_a: ScenarioTree, tree_b: ScenarioTree, tables: list[StageTable]) -> np.ndarray:
+    """Leaf-pair coupling: the product over stages of the stage-plan entries
+    along the two leaves' ancestors."""
+    out = np.ones((tree_a.n_leaves, tree_b.n_leaves))
+    for t, table in enumerate(tables):
+        out *= table.plan[_leaf_pairs(tree_a, tree_b, t + 1, t + 1)]
     return out
+
+
+def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray) -> _BatchResult:
+    """One transportation LP per problem of a group, stacked in the layout of
+    :func:`_sinkhorn_batch`; no sweeps, and the value is the LP optimum."""
+    lps = [solve_transport_lp(p, q, c) for p, q, c in zip(P, Q, C)]
+    plan = np.array([lp.plan.matrix for lp in lps])
+    value = np.array([lp.value for lp in lps])
+    sweeps = np.zeros(len(lps), dtype=int)
+    return _BatchResult(
+        plan=plan, d_s=value, entropy=np.array([entropy(x) for x in plan]), de_s=value,
+        dual_row=np.array([lp.dual_row for lp in lps]),
+        dual_col=np.array([lp.dual_col for lp in lps]),
+        iterations=sweeps, marginal_error=_marginal_errors(plan, P, Q),
+        converged=sweeps == 0, stabilized=sweeps > 0,
+    )
 
 
 def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> NestedResult:
@@ -277,33 +306,9 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
     """
     leaf_cost = cost_matrix(tree_a, tree_b, r)
     _check_height(tree_a)
-
-    def solve_stage(problems: list[_Subproblem]):
-        solved = []
-        for sp in problems:
-            lp = solve_transport_lp(sp.row_probs, sp.col_probs, sp.cost)
-            solved.append(ConditionalSolution(
-                row_children=sp.row_children,
-                col_children=sp.col_children,
-                row_probs=sp.row_probs,
-                col_probs=sp.col_probs,
-                plan=lp.plan.matrix,
-                value=lp.value,
-                dual_row=lp.dual_row,
-                dual_col=lp.dual_col,
-                entropy=entropy(lp.plan.matrix),
-                iterations=0,
-                converged=True,
-            ))
-        worst = max(
-            float(_marginal_errors(np.array([solved[k].plan for k in members]), P, Q).max())
-            for members, P, Q, _ in _shape_groups(problems)
-        )
-        return solved, 0, worst
-
-    tables, stats, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_stage)
+    tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, _lp_group)
     composed = _compose(tree_a, tree_b, tables)
-    value_pow = max(root_value, 0.0)
+    value_pow = max(float(tables[0].value[0, 0]), 0.0)
     value = value_pow ** (1.0 / r)
     return NestedResult(
         value=value,
@@ -341,35 +346,11 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     if lam <= 0.0:
         raise ValueError(f"regularization parameter must be positive, got {lam}")
     sub_tol = tol / tree_a.height
-
-    def solve_stage(problems: list[_Subproblem]):
-        solved: list[Optional[ConditionalSolution]] = [None] * len(problems)
-        stabilized = 0
-        worst = 0.0
-        for members, P, Q, C in _shape_groups(problems):
-            batch = _sinkhorn_batch(P, Q, C, lam, sub_tol, max_iter)
-            stabilized += int(batch.stabilized.sum())
-            worst = max(worst, float(batch.marginal_error.max()))
-            for row, k in enumerate(members):
-                sp = problems[k]
-                solved[k] = ConditionalSolution(
-                    row_children=sp.row_children,
-                    col_children=sp.col_children,
-                    row_probs=sp.row_probs,
-                    col_probs=sp.col_probs,
-                    plan=batch.plan[row],
-                    value=float(batch.de_s[row]),
-                    dual_row=batch.dual_row[row],
-                    dual_col=batch.dual_col[row],
-                    entropy=float(batch.entropy[row]),
-                    iterations=int(batch.iterations[row]),
-                    converged=bool(batch.converged[row]),
-                )
-        return solved, stabilized, worst
-
-    tables, stats, root_value = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_stage)
+    solve_group = partial(_sinkhorn_batch, lam=lam, tol=sub_tol, max_iter=max_iter)
+    tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
     composed = _compose(tree_a, tree_b, tables)
     value_pow = float((composed * leaf_cost).sum())
+    root_value = float(tables[0].value[0, 0])
     return NestedResult(
         value=_signed_root(value_pow, r),
         value_with_entropy=_signed_root(root_value, r),
@@ -381,7 +362,7 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
         method="sinkhorn",
         lam=lam,
         total_entropy=entropy(composed),
-        converged=all(sol.converged for table in tables for sol in table.values()),
+        converged=all(bool(table.converged.all()) for table in tables),
         total_iterations=sum(stage.iterations for stage in stats),
         stats=stats,
     )
@@ -407,31 +388,21 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
         )
     cost = cost_matrix(tree_a, tree_b, r)
     _check_height(tree_a)
-    leaves_a = _leaf_positions(tree_a)
-    leaves_b = _leaf_positions(tree_b)
-    ncells = na * nb
+    index_a, index_b = tree_a.stage_index, tree_b.stage_index
 
-    def block(ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
-        return (ids_a[:, None] * nb + ids_b[None, :]).ravel()
+    def block(s: int, i: int, u: int, j: int) -> np.ndarray:
+        """Indicator of the leaf pairs below node i of stage s (A) and j of stage u (B)."""
+        return np.outer(index_a.ancestor[s] == i, index_b.ancestor[u] == j).ravel().astype(float)
 
-    rows = [np.ones(ncells)]
-    rhs = [1.0]
+    rows = [np.ones(na * nb)]
     for t in range(tree_a.height):
-        for ia in tree_a.stage(t):
-            for jb in tree_b.stage(t):
-                base = block(leaves_a[ia], leaves_b[jb])
-                for child in tree_a.children(ia)[:-1]:
-                    row = np.zeros(ncells)
-                    row[block(leaves_a[child], leaves_b[jb])] += 1.0
-                    row[base] -= tree_a.node(child).cond_prob
-                    rows.append(row)
-                    rhs.append(0.0)
-                for child in tree_b.children(jb)[:-1]:
-                    row = np.zeros(ncells)
-                    row[block(leaves_a[ia], leaves_b[child])] += 1.0
-                    row[base] -= tree_b.node(child).cond_prob
-                    rows.append(row)
-                    rhs.append(0.0)
+        for i, j in itertools.product(range(len(tree_a.stage(t))), range(len(tree_b.stage(t)))):
+            base = block(t, i, t, j)
+            for k in np.flatnonzero(index_a.parent[t + 1] == i)[:-1]:
+                rows.append(block(t + 1, k, t, j) - index_a.cond_prob[t + 1][k] * base)
+            for l in np.flatnonzero(index_b.parent[t + 1] == j)[:-1]:
+                rows.append(block(t, i, t + 1, l) - index_b.cond_prob[t + 1][l] * base)
+    rhs = [1.0] + [0.0] * (len(rows) - 1)
     x, value = solve_lp(cost.ravel(), np.array(rows), np.array(rhs))
     plan = x.reshape(na, nb)
     return max(value, 0.0) ** (1.0 / r), TransportPlan(plan, tree_a.leaf_probabilities,
@@ -441,20 +412,19 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
 def conditional_marginal_residuals(tree_a: ScenarioTree, tree_b: ScenarioTree,
                                    matrix: np.ndarray) -> float:
     """Largest violation of the flat conditional-marginal constraints by a
-    leaf-pair coupling."""
-    leaves_a = _leaf_positions(tree_a)
-    leaves_b = _leaf_positions(tree_b)
+    leaf-pair coupling, summed into each stage's pair blocks by parent index."""
+    index_a, index_b = tree_a.stage_index, tree_b.stage_index
     worst = 0.0
-    for t in range(tree_a.height):
-        for ia in tree_a.stage(t):
-            for jb in tree_b.stage(t):
-                mass = float(matrix[np.ix_(leaves_a[ia], leaves_b[jb])].sum())
-                for child in tree_a.children(ia):
-                    lhs = float(matrix[np.ix_(leaves_a[child], leaves_b[jb])].sum())
-                    worst = max(worst, abs(lhs - tree_a.node(child).cond_prob * mass))
-                for child in tree_b.children(jb):
-                    lhs = float(matrix[np.ix_(leaves_a[ia], leaves_b[child])].sum())
-                    worst = max(worst, abs(lhs - tree_b.node(child).cond_prob * mass))
+    below = np.asarray(matrix, dtype=float)  # mass of every stage-(t+1) pair
+    for t in range(tree_a.height - 1, -1, -1):
+        parent_a, parent_b = index_a.parent[t + 1], index_b.parent[t + 1]
+        child_a = _group_sum(below, parent_b, 1)  # [stage t+1 of A, stage t of B]
+        child_b = _group_sum(below, parent_a, 0)  # [stage t of A, stage t+1 of B]
+        here = _group_sum(child_a, parent_a, 0)
+        gap_a = child_a - index_a.cond_prob[t + 1][:, None] * here[parent_a, :]
+        gap_b = child_b - index_b.cond_prob[t + 1][None, :] * here[:, parent_b]
+        worst = max(worst, float(np.abs(gap_a).max()), float(np.abs(gap_b).max()))
+        below = here
     return worst
 
 
@@ -492,39 +462,30 @@ def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: f
     max_residual = conditional_marginal_residuals(tree_a, tree_b, matrix)
 
     cost = cost_matrix(tree_a, tree_b, r)
-    positive = matrix > 0.0
-    log_matrix = np.where(positive, np.log(np.where(positive, matrix, 1.0)), 0.0)
+    log_matrix = np.log(np.where(matrix > 0.0, matrix, 1.0))
     flat_objective = float((matrix * cost).sum() + (matrix * log_matrix).sum() / lam)
     objective_gap = abs(flat_objective - result.value_with_entropy_pow)
 
     # rebuild log(plan) from the stagewise Gibbs factors
     # exp(-lam * (next_value - beta - gamma) - 1), and compare against the
     # log of the composed coupling accumulated as a sum of stage-plan logs
-    # (the entrywise product itself can underflow for large lam)
+    # (the entrywise product itself can underflow for large lam).  A stage
+    # plan entry that underflowed to 0 is compared as exp of its exponent.
     tables = result.stage_tables
-    T = len(tables)
-    paths_a = tree_a.leaf_paths()
-    paths_b = tree_b.leaf_paths()
-    cpos_a = _child_positions(tree_a)
-    cpos_b = _child_positions(tree_b)
-    pos_a = {leaf: k for k, leaf in enumerate(tree_a.leaf_ids)}
-    pos_b = {leaf: k for k, leaf in enumerate(tree_b.leaf_ids)}
-    max_gibbs = 0.0
-    for ia, pa in enumerate(paths_a):
-        for jb, pb in enumerate(paths_b):
-            recon = 0.0
-            log_composed = 0.0
-            for t in range(T):
-                sol = tables[t][(pa[t], pb[t])]
-                k = cpos_a[pa[t + 1]]
-                l = cpos_b[pb[t + 1]]
-                if t + 1 == T:
-                    nxt = cost[pos_a[pa[t + 1]], pos_b[pb[t + 1]]]
-                else:
-                    nxt = tables[t + 1][(pa[t + 1], pb[t + 1])].value
-                recon += -lam * (nxt - sol.dual_row[k] - sol.dual_col[l]) - 1.0
-                log_composed += math.log(sol.plan[k, l])
-            max_gibbs = max(max_gibbs, abs(recon - log_composed))
+    recon = np.zeros(matrix.shape)
+    log_composed = np.zeros(matrix.shape)
+    vanished_ok = True
+    for t, (table, nxt) in enumerate(zip(tables, [later.value for later in tables[1:]] + [cost])):
+        below = _leaf_pairs(tree_a, tree_b, t + 1, t + 1)
+        exponent = -lam * (nxt[below] - table.dual_row[_leaf_pairs(tree_a, tree_b, t + 1, t)]
+                           - table.dual_col[_leaf_pairs(tree_a, tree_b, t, t + 1)]) - 1.0
+        plan = table.plan[below]
+        positive = plan > 0.0
+        recon += np.where(positive, exponent, 0.0)
+        log_composed += np.log(np.where(positive, plan, 1.0))
+        with np.errstate(over="ignore"):
+            vanished_ok = vanished_ok and not np.exp(exponent[~positive]).any()
+    max_gibbs = float(np.abs(recon - log_composed).max()) if vanished_ok else math.inf
 
     # plain bools and floats, so the report serializes as JSON
     feas_ok = bool(max_residual <= marginal_tol)
@@ -535,7 +496,7 @@ def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: f
         flat_objective=flat_objective,
         recursive_objective=result.value_with_entropy_pow,
         objective_gap=objective_gap,
-        max_gibbs_residual=float(max_gibbs),
+        max_gibbs_residual=max_gibbs,
         feasibility_ok=feas_ok,
         objective_ok=obj_ok,
         gibbs_ok=gibbs_ok,
@@ -566,10 +527,6 @@ class NestedBoundReport:
     all_passed: bool = True
 
 
-def _max_branching(tree: ScenarioTree) -> int:
-    return max(len(tree.children(n.id)) for n in tree.nodes if tree.children(n.id))
-
-
 def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                         lam: float = 20.0, *, tol: float = 1e-12,
                         max_iter: int = 200_000) -> NestedBoundReport:
@@ -590,8 +547,8 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
     h_s = sink.total_entropy
     h_w = exact.total_entropy
     stages = tree_a.height
-    m_a = _max_branching(tree_a)
-    m_b = _max_branching(tree_b)
+    m_a = max(max(groups) for groups in tree_a.stage_index.children)
+    m_b = max(max(groups) for groups in tree_b.stage_index.children)
     gap_bound = stages * (math.log(m_a) + math.log(m_b)) / lam
     checks = [
         bounded_check("sandwich: entropic <= exact <= regularized", nd_w,
@@ -653,30 +610,31 @@ def martingale_check(result: NestedResult, *, residual_tol: float = 1e-6,
     if not result.converged:
         raise ValueError("martingale check needs a converged result")
     tables = result.stage_tables
-    root_pair = next(iter(tables[0]))
-    root = tables[0][root_pair]
-    m0 = -float(root.row_probs @ root.dual_row + root.col_probs @ root.dual_col)
-    m_values: dict[tuple[int, int], float] = {root_pair: m0}
+    index_a, index_b = tables[0].tree_a.stage_index, tables[0].tree_b.stage_index
     max_resid = 0.0
     max_proj = 0.0
-    for table in tables:
-        next_values: dict[tuple[int, int], float] = {}
-        for pair, sol in table.items():
-            beta_hat = sol.dual_row - float(sol.row_probs @ sol.dual_row)
-            gamma_hat = sol.dual_col - float(sol.col_probs @ sol.dual_col)
-            max_proj = max(
-                max_proj,
-                abs(float(sol.row_probs @ beta_hat)),
-                abs(float(sol.col_probs @ gamma_hat)),
-            )
-            here = m_values[pair]
-            increments = here + beta_hat[:, None] + gamma_hat[None, :]
-            expected = float((sol.plan * increments).sum() / sol.plan.sum())
-            max_resid = max(max_resid, abs(expected - here))
-            for k, child_a in enumerate(sol.row_children):
-                for l, child_b in enumerate(sol.col_children):
-                    next_values[(child_a, child_b)] = float(increments[k, l])
-        m_values = next_values
+    for t, table in enumerate(tables):
+        parent_a, parent_b = index_a.parent[t + 1], index_b.parent[t + 1]
+        p = index_a.cond_prob[t + 1][:, None]
+        q = index_b.cond_prob[t + 1][None, :]
+        mean_row = _group_sum(p * table.dual_row, parent_a, 0)  # [stage t of A, stage t of B]
+        mean_col = _group_sum(q * table.dual_col, parent_b, 1)
+        if t == 0:
+            here = -(mean_row + mean_col)  # M_0 at the root pair
+            m0 = float(here[0, 0])
+        beta_hat = table.dual_row - mean_row[parent_a, :]
+        gamma_hat = table.dual_col - mean_col[:, parent_b]
+        max_proj = max(
+            max_proj,
+            float(np.abs(_group_sum(p * beta_hat, parent_a, 0)).max()),
+            float(np.abs(_group_sum(q * gamma_hat, parent_b, 1)).max()),
+        )
+        increments = (here[np.ix_(parent_a, parent_b)] + beta_hat[:, parent_b]
+                      + gamma_hat[parent_a, :])
+        weighted = _group_sum(_group_sum(table.plan * increments, parent_a, 0), parent_b, 1)
+        mass = _group_sum(_group_sum(table.plan, parent_a, 0), parent_b, 1)
+        max_resid = max(max_resid, float(np.abs(weighted / mass - here).max()))
+        here = increments
     return MartingaleReport(
         m0=m0,
         max_martingale_residual=max_resid,

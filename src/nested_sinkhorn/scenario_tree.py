@@ -14,13 +14,15 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "Node",
     "ScenarioTree",
+    "StageIndex",
     "Trajectory",
     "TreeFormatError",
     "cost_matrix",
@@ -57,6 +59,30 @@ class Trajectory:
     states: tuple[float, ...]
     leaf_id: int
     prob: float
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class StageIndex:
+    """Read-only index arrays over the stages of a tree, with node ``k`` of
+    stage ``t`` being ``tree.stage(t)[k]``: ``position[t]`` maps a stage-t
+    node id to its index ``k``; ``parent[t][k]`` is the node's parent's index
+    in stage t-1 (empty for the root stage); ``ancestor[t][l]`` is the index
+    of leaf ``l``'s stage-t ancestor; ``cond_prob[t][k]`` is the node's branch
+    probability; ``children[t]`` maps a child count ``m`` to the indices of
+    the stage-t nodes with ``m`` children and their ``[count, m]`` stack of
+    child indices, in child order.
+    """
+
+    position: tuple[Mapping[int, int], ...]
+    parent: tuple[np.ndarray, ...]
+    ancestor: tuple[np.ndarray, ...]
+    cond_prob: tuple[np.ndarray, ...]
+    children: tuple[Mapping[int, tuple[np.ndarray, np.ndarray]], ...]
 
 
 @dataclass(frozen=True)
@@ -126,7 +152,6 @@ class ScenarioTree:
             stages[depth[node.id]].append(node.id)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
-        object.__setattr__(self, "_depth", depth)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "_stages", tuple(tuple(s) for s in stages))
         object.__setattr__(self, "root_id", root.id)
@@ -143,13 +168,6 @@ class ScenarioTree:
     def stage(self, t: int) -> tuple[int, ...]:
         """Ids of all nodes at stage ``t``, in node order."""
         return self._stages[t]
-
-    def stage_of(self, node_id: int) -> int:
-        return self._depth[node_id]
-
-    def branch_probabilities(self, node_id: int) -> np.ndarray:
-        """Conditional probabilities of ``node_id``'s children, in child order."""
-        return np.array([self._by_id[c].cond_prob for c in self._children[node_id]])
 
     def leaf_paths(self) -> list[tuple[int, ...]]:
         """Node-id paths from the root to every leaf, one per leaf in leaf order."""
@@ -170,9 +188,39 @@ class ScenarioTree:
     @cached_property
     def leaf_probabilities(self) -> np.ndarray:
         """Trajectory probabilities in leaf order; computed once, read-only."""
-        probs = np.array([t.prob for t in trajectories(self)])
-        probs.flags.writeable = False
-        return probs
+        return _read_only(np.array([t.prob for t in trajectories(self)]))
+
+    @cached_property
+    def leaf_states(self) -> np.ndarray:
+        """Trajectory states in leaf order, one row per leaf; computed once, read-only."""
+        return _read_only(np.array([t.states for t in trajectories(self)]))
+
+    @cached_property
+    def stage_index(self) -> StageIndex:
+        """The tree's :class:`StageIndex`, computed once.  The leaves are
+        exactly the last stage's nodes, in the same order."""
+        position = [{nid: k for k, nid in enumerate(stage)} for stage in self._stages]
+        parent = [np.zeros(0, dtype=int)] + [
+            np.array([position[t][self._by_id[nid].parent] for nid in stage], dtype=int)
+            for t, stage in enumerate(self._stages[1:])
+        ]
+        ancestor = [np.arange(self.n_leaves)]
+        for t in range(self.height, 0, -1):
+            ancestor.insert(0, parent[t][ancestor[0]])
+        cond_prob = [np.array([self._by_id[nid].cond_prob for nid in stage])
+                     for stage in self._stages]
+        children = []
+        for below in parent[1:]:
+            counts = np.bincount(below)
+            # children grouped by parent, each group in child order
+            order = np.argsort(below, kind="stable")
+            first = np.cumsum(counts) - counts
+            children.append(MappingProxyType({
+                int(m): (nodes, _read_only(order[first[nodes][:, None] + np.arange(m)]))
+                for m in np.unique(counts) for nodes in [_read_only(np.flatnonzero(counts == m))]
+            }))
+        arrays = (tuple(map(_read_only, part)) for part in (parent, ancestor, cond_prob))
+        return StageIndex(tuple(map(MappingProxyType, position)), *arrays, tuple(children))
 
 
 def parse_tree(text: str) -> ScenarioTree:
@@ -207,23 +255,16 @@ def parse_tree(text: str) -> ScenarioTree:
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise TreeFormatError(f"prob of node {nid} must be a number")
         raw.append((nid, parent, float(state), float(prob)))
-    ids = [item[0] for item in raw]
-    if len(set(ids)) != len(ids):
-        seen: set[int] = set()
-        dup = next(i for i in ids if i in seen or seen.add(i))  # type: ignore[func-returns-value]
-        raise TreeFormatError(f"duplicate node id {dup}")
+    # duplicate ids and unknown parents are rejected by ScenarioTree itself
     roots = [item for item in raw if item[1] is None]
     if len(roots) != 1:
         raise TreeFormatError(f"tree must have exactly one root, found {len(roots)}")
     if abs(roots[0][3] - 1.0) > _PARSE_SUM_ATOL:
         raise TreeFormatError(f"root probability must be 1, got {roots[0][3]!r}")
-    known = set(ids)
-    for nid, parent, _, prob in raw:
-        if parent is not None and parent not in known:
-            raise TreeFormatError(f"node {nid} references unknown parent {parent}")
+    for nid, _, _, prob in raw:
         if prob <= 0.0:
             raise TreeFormatError(f"node {nid} has nonpositive probability {prob!r}")
-    probs = [item[3] for item in raw]
+    probs = [1.0 if item[1] is None else item[3] for item in raw]
     groups: dict[int, list[int]] = {}
     for idx, (nid, parent, _, _) in enumerate(raw):
         if parent is not None:
@@ -240,8 +281,6 @@ def parse_tree(text: str) -> ScenarioTree:
         renorm[top] += 1.0 - math.fsum(renorm)
         for k, val in zip(members, renorm):
             probs[k] = val
-    root_idx = next(k for k, item in enumerate(raw) if item[1] is None)
-    probs[root_idx] = 1.0
     nodes = tuple(
         Node(nid, parent, state, probs[k]) for k, (nid, parent, state, _) in enumerate(raw)
     )
@@ -303,8 +342,8 @@ def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> n
         )
     if r < 1.0:
         raise ValueError(f"order r must be >= 1, got {r}")
-    sa = np.array([t.states for t in trajectories(tree_a)])
-    sb = np.array([t.states for t in trajectories(tree_b)])
+    sa = tree_a.leaf_states
+    sb = tree_b.leaf_states
     base = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2)
     return base**r
 

@@ -76,6 +76,29 @@ def height3_pair() -> tuple[ScenarioTree, ScenarioTree]:
     return tree_a, tree_b
 
 
+def underflow_tree() -> ScenarioTree:
+    """Height-2 tree whose two stage-1 nodes both branch to states 0 and 10
+    with probability one half.  Against itself at lambda 100 the stage-1
+    plans put mass of about exp(-1000) off the diagonal, which underflows
+    to exactly 0."""
+    nodes = [{"id": 0, "parent": None, "state": 0.0, "prob": 1.0}]
+    for mid in (1, 2):
+        nodes.append({"id": mid, "parent": 0, "state": 0.0, "prob": 0.5})
+    for leaf, (mid, state) in enumerate([(1, 0.0), (1, 10.0), (2, 0.0), (2, 10.0)], start=3):
+        nodes.append({"id": leaf, "parent": mid, "state": state, "prob": 0.5})
+    return tree_from_nodes(nodes)
+
+
+def interleaved(tree: ScenarioTree) -> ScenarioTree:
+    """The same tree with its nodes listed by rank among their siblings, and
+    within a rank in reverse order: first children of every parent, then
+    second children, and so on, so that no sibling group and no stage is
+    contiguous."""
+    rank = {c: k for node in tree.nodes for k, c in enumerate(tree.children(node.id))}
+    order = sorted(range(len(tree.nodes)), key=lambda k: (rank.get(tree.nodes[k].id, 0), -k))
+    return ScenarioTree(tuple(tree.nodes[k] for k in order))
+
+
 def path_tree(states: list[float]) -> ScenarioTree:
     """Single-branch tree (one trajectory of probability one)."""
     nodes = [{"id": 0, "parent": None, "state": states[0], "prob": 1.0}]

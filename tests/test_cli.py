@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import height3_pair, split_timing_pair
+from conftest import height3_pair, split_timing_pair, underflow_tree
 from nested_sinkhorn import flat_nested_lp, parse_tree, serialize_tree, wasserstein_distance
 from nested_sinkhorn import cli
 from nested_sinkhorn.cli import RunConfig, main, run
@@ -92,6 +92,15 @@ class TestCommands:
                      "--lambda", "5"]) == 0
         _, rows = csv_rows(capsys.readouterr().out)
         assert len(rows) >= 9
+        assert all(row["passed"] == "true" for row in rows)
+
+    def test_verify_with_underflowed_plan_entries(self, tmp_path, capsys):
+        tree = underflow_tree()
+        path_a, path_b = write_pair(tmp_path, (tree, tree))
+        assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
+                     "--lambda", "100"]) == 0
+        _, rows = csv_rows(capsys.readouterr().out)
+        assert len(rows) == 9
         assert all(row["passed"] == "true" for row in rows)
 
     def test_gen_writes_tree(self, tmp_path, capsys):

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import height3_pair, path_tree, random_tree_pair, split_timing_pair, uneven_tree
+from conftest import (
+    height3_pair,
+    path_tree,
+    random_tree_pair,
+    split_timing_pair,
+    underflow_tree,
+    uneven_tree,
+)
 from nested_sinkhorn import (
     conditional_marginal_residuals,
     cost_matrix,
@@ -319,6 +326,17 @@ class TestEntropicEquivalence:
         res = nested_sinkhorn(early, late, 1.0, lam=1.0, tol=1e-12)
         report = verify_entropic_equivalence(early, late, 1.0, 1.0, res)
         assert report.passed
+
+    def test_underflowed_stage_plan_entries(self):
+        # the stage-1 plans have exact zeros where exp(-lam * 10 - ...)
+        # underflows; the Gibbs factors of those entries underflow too
+        tree = underflow_tree()
+        res = nested_sinkhorn(tree, tree, 1.0, lam=100.0)
+        assert res.converged
+        assert (res.stage_tables[1].plan == 0.0).sum() == 8
+        report = verify_entropic_equivalence(tree, tree, 1.0, 100.0, res)
+        assert report.passed
+        assert report.max_gibbs_residual <= 1e-12
 
     def test_rejects_exact_result(self):
         tree_a, tree_b = height3_pair()

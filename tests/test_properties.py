@@ -8,14 +8,24 @@ are compared as r-th powers, where the solvers' absolute tolerances apply.
 The flat-LP oracle is drawn without the 1e-9 weights: its dense simplex
 has absolute tolerances of 1e-10 to 1e-8, and on such branches it can
 report a wrong value or lose feasibility.
+
+The generated trees list their nodes stage by stage; ``interleaved``
+(conftest) lists the same tree with siblings spread across the list.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import tree_from_nodes
-from nested_sinkhorn import flat_nested_lp, nested_exact, nested_sinkhorn, wasserstein_distance
+from conftest import interleaved, tree_from_nodes
+from nested_sinkhorn import (
+    flat_nested_lp,
+    martingale_check,
+    nested_exact,
+    nested_sinkhorn,
+    verify_entropic_equivalence,
+    wasserstein_distance,
+)
 from nested_sinkhorn.sinkhorn import BOUND_SLACK
 
 STATES = [-1.0, 0.0, 0.0, 0.5, 2.0]
@@ -90,3 +100,23 @@ def test_sandwich(pair, lam):
     exact = nested_exact(tree_a, tree_b, r).value_pow
     assert sink.value_with_entropy_pow <= exact + BOUND_SLACK
     assert exact <= sink.value_pow + BOUND_SLACK
+
+
+@PROPERTY_SETTINGS
+@given(tree_pairs(ORACLE_WEIGHTS))
+def test_node_order_does_not_change_values(pair):
+    tree_a, tree_b, r = pair
+    mixed_a, mixed_b = interleaved(tree_a), interleaved(tree_b)
+    assert nested_exact(mixed_a, mixed_b, r).value_pow == pytest.approx(
+        nested_exact(tree_a, tree_b, r).value_pow, rel=0, abs=1e-12)
+    assert flat_nested_lp(mixed_a, mixed_b, r)[0] ** r == pytest.approx(
+        flat_nested_lp(tree_a, tree_b, r)[0] ** r, rel=0, abs=1e-12)
+    sink = nested_sinkhorn(tree_a, tree_b, r, 1.0, tol=1e-12, max_iter=2_000)
+    mixed = nested_sinkhorn(mixed_a, mixed_b, r, 1.0, tol=1e-12, max_iter=2_000)
+    assert mixed.converged == sink.converged
+    assert mixed.value_pow == pytest.approx(sink.value_pow, rel=0, abs=1e-12)
+    assert mixed.value_with_entropy_pow == pytest.approx(sink.value_with_entropy_pow,
+                                                         rel=0, abs=1e-12)
+    if mixed.converged:
+        assert verify_entropic_equivalence(mixed_a, mixed_b, r, 1.0, mixed).passed
+        assert martingale_check(mixed).passed

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     height3_pair,
+    interleaved,
     late_split_tree,
     path_tree,
     split_timing_pair,
@@ -155,6 +156,32 @@ class TestTrajectories:
         assert tree.leaf_probabilities is probs
         with pytest.raises(ValueError):
             probs[0] = 0.5
+        states = tree.leaf_states
+        assert [tuple(row) for row in states.tolist()] == [t.states for t in trajectories(tree)]
+        assert tree.leaf_states is states
+        with pytest.raises(ValueError):
+            states[0, 0] = 0.5
+
+
+    def test_stage_index_follows_the_paths(self):
+        tree = interleaved(height3_pair()[0])
+        assert tree.stage(3) == (6, 4, 7, 5)
+        index = tree.stage_index
+        assert tree.stage_index is index
+        for leaf, path in enumerate(tree.leaf_paths()):
+            for t, nid in enumerate(path):
+                assert tree.stage(t)[index.ancestor[t][leaf]] == nid
+                assert index.position[t][nid] == index.ancestor[t][leaf]
+                if t:
+                    assert index.parent[t][index.position[t][nid]] == index.position[t - 1][path[t - 1]]
+                assert index.cond_prob[t][index.position[t][nid]] == tree.node(nid).cond_prob
+        for t in range(tree.height):
+            for m, (nodes, kids) in index.children[t].items():
+                assert kids.shape == (len(nodes), m)
+                for k, row in zip(nodes, kids):
+                    assert [tree.stage(t + 1)[c] for c in row] == list(tree.children(tree.stage(t)[k]))
+        with pytest.raises(ValueError):
+            index.ancestor[0][0] = 1
 
 
 class TestGroundCost:
