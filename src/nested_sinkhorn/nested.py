@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._simplex import solve_lp
+from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
 from .sinkhorn import (CheckResult, _BatchResult, _marginal_errors, _sinkhorn_batch,
                        bounded_check, entropy)
@@ -331,15 +331,17 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                     lam: float = 20.0, tol: float = 1e-9, max_iter: int = 100_000) -> NestedResult:
     """Entropy-regularized nested divergence via the same backward recursion.
 
-    Each conditional subproblem is solved by the scaling iteration (plain or
-    log-domain, chosen automatically as in ``sinkhorn_auto``) and
+    Each conditional subproblem is solved by the scaling iteration and
     contributes its full entropic objective as the cost seen one stage
     earlier.  A stage's subproblems are grouped by shape and each group is
-    solved by one batched kernel; every subproblem keeps the iterations,
-    plan and multipliers the per-pair solver would give it.  Subproblems
-    run at tolerance ``tol / T`` so the stagewise marginal errors cannot
-    push the composed plan's feasibility beyond ``tol``.  A subproblem hitting
-    ``max_iter`` flags the whole result as unconverged instead of raising.
+    solved by :func:`_sinkhorn_batch`: the plain loop for subproblems
+    inside the safe exponent range, then one log-domain loop for the rest
+    and for those on which the plain one underflowed.  Every subproblem
+    keeps the iterations, plan and multipliers ``sinkhorn_auto`` would give
+    it alone.  Subproblems run at tolerance ``tol / T`` so the stagewise
+    marginal errors cannot push the composed plan's feasibility beyond
+    ``tol``.  A subproblem hitting ``max_iter`` flags the whole result as
+    unconverged instead of raising.
     """
     leaf_cost = cost_matrix(tree_a, tree_b, r)
     _check_height(tree_a)
@@ -378,7 +380,9 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     redundant successor per group is dropped.  Solved by the generic dense
     simplex, so it is an oracle wholly independent of the recursion.  Only
     intended for desk-scale instances (``n_leaves_a * n_leaves_b`` capped by
-    ``max_cells``).
+    ``max_cells``).  Raises ``RuntimeError`` when the simplex fails or its
+    plan misses the conditional marginals by more than 1e-3 of the smallest
+    leaf probability, which happens on branch probabilities near 1e-9.
     """
     na = tree_a.n_leaves
     nb = tree_b.n_leaves
@@ -403,8 +407,18 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
             for l in np.flatnonzero(index_b.parent[t + 1] == j)[:-1]:
                 rows.append(block(t, i, t + 1, l) - index_b.cond_prob[t + 1][l] * base)
     rhs = [1.0] + [0.0] * (len(rows) - 1)
-    x, value = solve_lp(cost.ravel(), np.array(rows), np.array(rhs))
+    p_min = min(tree_a.leaf_probabilities.min(), tree_b.leaf_probabilities.min())
+    limits = (f"smallest leaf probability {p_min:.3e}, dense simplex absolute tolerances "
+              f"{_ENTER_TOL:g} (entering) and {_PIVOT_TOL:g} (pivot)")
+    try:
+        x, value = solve_lp(cost.ravel(), np.array(rows), np.array(rhs))
+    except RuntimeError as exc:
+        raise RuntimeError(f"flat LP failed: {exc}; {limits}") from exc
     plan = x.reshape(na, nb)
+    residual = conditional_marginal_residuals(tree_a, tree_b, plan)
+    if residual > 1e-3 * p_min:
+        raise RuntimeError(f"flat LP plan violates the conditional marginals by "
+                           f"{residual:.3e}, beyond 1e-3 of the {limits}")
     return max(value, 0.0) ** (1.0 / r), TransportPlan(plan, tree_a.leaf_probabilities,
                                                        tree_b.leaf_probabilities)
 

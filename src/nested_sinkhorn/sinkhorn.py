@@ -1,23 +1,25 @@
 """Entropy-regularized discrete transport.
 
-The fixed-point scaling iteration is provided in two numerically distinct
-flavours: the plain multiplicative form on the kernel ``exp(-lam * cost)``
-and a log-domain form that survives arbitrarily large ``lam * cost``.  The
-latter sweeps multiplicatively on a kernel with the log potentials absorbed
-and repairs any sweep that leaves the safe scaling range by a log-sum-exp
-sweep (Schmitzer, arXiv:1610.06519).  Both stop on the max-norm marginal
+The fixed-point scaling iteration has two numerically distinct forms, each
+one batched loop over a stack of same-shape problems: the plain
+multiplicative form on the kernel ``exp(-lam * cost)``, and a log-domain
+form that survives arbitrarily large ``lam * cost``.  The latter sweeps
+multiplicatively on a kernel with the log potentials absorbed and repairs
+any sweep that leaves the safe scaling range by a log-sum-exp sweep
+(Schmitzer, arXiv:1610.06519).  Both stop on the max-norm marginal
 violation, normalize the scaling pair so the largest row scaling is one,
-and report the plan, its cost, its entropy, and the entropic objective.  A
-batched form runs the automatic choice between them on a stack of
-same-shape problems at once, for the stagewise subproblems of the nested
-recursion.  Dual multipliers recovered from the scalings certify the
-result against the exact linear program.
+and report the plan, its cost, its entropy, and the entropic objective.
+One dispatcher chooses the form per problem, for the stagewise subproblems
+of the nested recursion; the flat functions run a stack of one.  Dual
+multipliers recovered from the scalings certify the result against the
+exact linear program.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -46,8 +48,8 @@ _ABSORB_RANGE = (1e-30, 1e30)  # sinkhorn_stabilized keeps its scalings strictly
 
 
 class KernelUnderflowError(FloatingPointError):
-    """The multiplicative iteration hit a zero kernel row or column sum;
-    switch to the log-domain variant (``sinkhorn_stabilized``)."""
+    """The multiplicative iteration lost a kernel product or a row scaling
+    to underflow; switch to the log-domain variant (``sinkhorn_stabilized``)."""
 
 
 @dataclass
@@ -171,163 +173,12 @@ def _validate_settings(C, lam, tol, max_iter):
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def _finalize(p, q, C, lam, plan, log_u, log_v, iterations, tol, stabilized,
-              log_plan=None) -> SinkhornResult:
-    row_err = float(np.abs(plan.sum(axis=1) - p).max())
-    col_err = float(np.abs(plan.sum(axis=0) - q).max())
-    marginal_error = max(row_err, col_err)
-    if log_plan is None:
-        h = entropy(plan)
-    else:
-        positive = plan > 0.0
-        h = float(-(plan[positive] * log_plan[positive]).sum())
-    d_s = float((plan * C).sum())
-    # the plain scalings may overflow to inf in extreme regimes; the log
-    # fields below are the reliable carriers there
-    with np.errstate(over="ignore"):
-        scaling_row = np.exp(log_u)
-        scaling_col = np.exp(log_v)
-    return SinkhornResult(
-        plan=TransportPlan(plan, p, q),
-        scaling_row=scaling_row,
-        scaling_col=scaling_col,
-        log_scaling_row=log_u,
-        log_scaling_col=log_v,
-        d_s=d_s,
-        entropy=h,
-        de_s=d_s - h / lam,
-        lam=lam,
-        iterations=iterations,
-        marginal_error=marginal_error,
-        converged=marginal_error <= tol,
-        stabilized=stabilized,
-    )
-
-
-def sinkhorn(p, q, cost, lam: float, tol: float = 1e-9, max_iter: int = 100_000) -> SinkhornResult:
-    """Multiplicative scaling iteration on the kernel ``exp(-lam * cost)``.
-
-    Alternates row and column scaling updates from an all-ones column
-    scaling until the max-norm marginal violation drops to ``tol`` or
-    ``max_iter`` update pairs have run (then ``converged`` is False).
-    Raises :class:`KernelUnderflowError` when the kernel numerically loses a
-    whole row or column, or a row scaling underflows to zero once the
-    largest is normalized to one; use :func:`sinkhorn_stabilized` there.
-    """
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
-    K = gibbs_kernel(C, lam)
-    if not (np.all(K.sum(axis=1) > 0.0) and np.all(K.sum(axis=0) > 0.0)):
-        raise KernelUnderflowError(
-            "kernel has an all-zero row or column; switch to sinkhorn_stabilized"
-        )
-    u = np.ones(p.size)
-    v = np.ones(q.size)
-    it = 0
-    while True:
-        t = K @ v
-        if it > 0:
-            err = float(np.abs(u * t - p).max())
-            if err <= tol or it >= max_iter:
-                break
-        if not np.all(t > 0.0) or not np.all(np.isfinite(t)):
-            raise KernelUnderflowError(
-                "row sums of the scaled kernel underflowed; switch to sinkhorn_stabilized"
-            )
-        u = p / t
-        s = K.T @ u
-        if not np.all(s > 0.0) or not np.all(np.isfinite(s)):
-            raise KernelUnderflowError(
-                "column sums of the scaled kernel underflowed; switch to sinkhorn_stabilized"
-            )
-        v = q / s
-        it += 1
-    scale = u.max()
-    u = u / scale
-    v = v * scale
-    if not u.min() > 0.0:
-        raise KernelUnderflowError("a row scaling underflowed; switch to sinkhorn_stabilized")
-    plan = u[:, None] * K * v[None, :]
-    return _finalize(p, q, C, lam, plan, np.log(u), np.log(v), it, tol, stabilized=False)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = a.max(axis=axis, keepdims=True)
-    return peak.squeeze(axis) + np.log(np.exp(a - peak).sum(axis=axis))
-
-
-def sinkhorn_stabilized(p, q, cost, lam: float, tol: float = 1e-9,
-                        max_iter: int = 100_000) -> SinkhornResult:
-    """Log-domain scaling iteration; same contract as :func:`sinkhorn`.
-
-    Absorption stabilization (Schmitzer, arXiv:1610.06519): plain scalings
-    ``u, v`` sweep on the kernel ``exp(f - lam * cost + g)`` with the log
-    potentials ``f, g`` absorbed.  The first sweep, and any sweep that would
-    take ``u`` or ``v`` out of :data:`_ABSORB_RANGE`, is run by log-sum-exp
-    instead, after absorbing ``v`` into ``g``; then the kernel is rebuilt.
-    So no magnitude of ``lam * cost`` can underflow the iteration, and the
-    iterates are those of log-sum-exp sweeps up to round-off.
-    """
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
-    km = -lam * C
-    log_p = np.log(p)
-    log_q = np.log(q)
-    low, high = _ABSORB_RANGE
-    g = np.zeros(q.size)
-    K = None
-    it = 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
-            if K is None:
-                f = log_p - _logsumexp(km + g[None, :], axis=1)
-                g = log_q - _logsumexp(km + f[:, None], axis=0)
-                it += 1
-                K = np.exp(f[:, None] + km + g[None, :])
-                u = np.ones(p.size)
-                v = np.ones(q.size)
-            t = K @ v
-            if np.abs(u * t - p).max() <= tol or it >= max_iter:
-                break
-            u_next = p / t
-            v_next = q / (K.T @ u_next)
-            # a NaN fails every comparison, so non-finite scalings are discarded too
-            if (u_next.min() > low and u_next.max() < high
-                    and v_next.min() > low and v_next.max() < high):
-                u, v = u_next, v_next
-                it += 1
-            else:
-                g = g + np.log(v)
-                K = None
-    f = f + np.log(u)
-    shift = f.max()
-    f = f - shift
-    g = g + np.log(v) + shift
-    log_plan = f[:, None] + km + g[None, :]
-    plan = np.exp(log_plan)
-    return _finalize(p, q, C, lam, plan, f, g, it, tol, stabilized=True, log_plan=log_plan)
-
-
-def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
-                  max_iter: int = 100_000) -> SinkhornResult:
-    """Dispatch to the plain or log-domain iteration by kernel magnitude.
-
-    The plain form is used while ``max |lam * cost|`` stays inside the safe
-    exponent range; beyond that (or on a detected underflow) the log-domain
-    form takes over.
-    """
-    C = np.asarray(cost, dtype=float)
-    if C.size and np.all(np.isfinite(C)) and float(np.abs(lam * C).max()) > STABILIZE_THRESHOLD:
-        return sinkhorn_stabilized(p, q, C, lam, tol, max_iter)
-    try:
-        return sinkhorn(p, q, C, lam, tol, max_iter)
-    except KernelUnderflowError:
-        return sinkhorn_stabilized(p, q, C, lam, tol, max_iter)
-
-
 @dataclass
 class _BatchResult:
-    """Outcomes of :func:`_sinkhorn_batch`, one entry per problem along the
+    """Outcomes of a stack of problems, one entry per problem along the
     leading axis.  The fields mirror :class:`SinkhornResult`; ``dual_row``
-    and ``dual_col`` are the multipliers of :func:`dual_from_scalings`."""
+    and ``dual_col`` are the multipliers of :func:`dual_from_scalings`.  The
+    log scalings are set by the scaling iteration only."""
 
     plan: np.ndarray
     d_s: np.ndarray
@@ -339,6 +190,8 @@ class _BatchResult:
     marginal_error: np.ndarray
     converged: np.ndarray
     stabilized: np.ndarray
+    log_scaling_row: Optional[np.ndarray] = None
+    log_scaling_col: Optional[np.ndarray] = None
 
 
 def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -347,20 +200,62 @@ def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarr
                       np.abs(plan.sum(axis=1) - Q).max(axis=1))
 
 
-def _lockstep(K: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter: int):
-    """The iteration of :func:`sinkhorn` on stacked kernels ``[B, m, n]``.
+def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
+              stabilized) -> _BatchResult:
+    """Results of a stack of solved problems, in either form, from the plans,
+    the logs of their entries and the log scalings.  The entropy reads the
+    log entries, which stay exact where a log-domain plan entry underflows."""
+    x = _unit_range(plan)
+    with np.errstate(invalid="ignore"):
+        h = -np.where(x > 0.0, x * log_plan, 0.0).sum(axis=(1, 2))
+    d_s = (plan * C).sum(axis=(1, 2))
+    marginal_error = _marginal_errors(plan, P, Q)
+    dual_row, dual_col = _scaling_duals(log_u, log_v, lam)
+    return _BatchResult(
+        plan=plan,
+        d_s=d_s,
+        entropy=h,
+        de_s=d_s - h / lam,
+        dual_row=dual_row,
+        dual_col=dual_col,
+        iterations=iterations,
+        marginal_error=marginal_error,
+        converged=marginal_error <= tol,
+        stabilized=stabilized,
+        log_scaling_row=log_u,
+        log_scaling_col=log_v,
+    )
 
+
+def _single(batch: _BatchResult, p: np.ndarray, q: np.ndarray, lam: float) -> SinkhornResult:
+    """The one problem of a stack of one as a :class:`SinkhornResult`."""
+    log_u, log_v = batch.log_scaling_row[0], batch.log_scaling_col[0]
+    # the plain scalings may overflow to inf in extreme regimes; the log
+    # fields are the reliable carriers there
+    with np.errstate(over="ignore"):
+        scaling_row, scaling_col = np.exp(log_u), np.exp(log_v)
+    scalars = ("d_s", "entropy", "de_s", "iterations", "marginal_error", "converged", "stabilized")
+    return SinkhornResult(TransportPlan(batch.plan[0], p, q), scaling_row, scaling_col, log_u,
+                          log_v, lam=lam, **{name: getattr(batch, name)[0].item() for name in scalars})
+
+
+def _lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter: int):
+    """The plain iteration on the stacked kernels ``exp(km)``, ``[B, m, n]``.
+
+    Alternates row and column scaling updates from all-ones column scalings.
     Every problem starts together and leaves the active set on the sweep
-    where :func:`sinkhorn` would stop it.  Returns the scalings, the sweep
-    counts and the mask of problems whose marginal error went non-finite.
+    where its max-norm marginal violation drops to ``tol`` or ``max_iter``
+    sweeps have run.  Returns the plans, the logs of their entries, the log
+    scalings (the largest row scaling normalized to one), the sweep counts,
+    and the mask of failed problems: a marginal error that went non-finite,
+    or a row scaling that underflowed in the normalization.
     """
+    kernel = K = np.exp(km)
     B, m, n = K.shape
     u_out = np.ones((B, m))
     v_out = np.ones((B, n))
     iterations = np.zeros(B, dtype=int)
     failed = np.zeros(B, dtype=bool)
-    if B == 0:
-        return u_out, v_out, iterations, failed
     active = np.arange(B)
     KT = K.transpose(0, 2, 1)
     # column vectors, so each kernel product is one stacked matmul
@@ -372,7 +267,7 @@ def _lockstep(K: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter:
     # a vanished or overflowed kernel product surfaces as a non-finite error
     # one sweep later; the caller re-solves those problems in the log domain
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
+        while B:
             t = K @ v
             if it > 0:
                 err = np.maximum.reduce(np.abs(u * t - P), axis=1)[:, 0]
@@ -391,7 +286,145 @@ def _lockstep(K: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter:
             u = P / t
             v = Q / (KT @ u)
             it += 1
-    return u_out, v_out, iterations, failed
+        scale = u_out.max(axis=1, keepdims=True)
+        u_out = u_out / scale
+        v_out = v_out * scale
+        failed |= ~(u_out.min(axis=1) > 0.0)
+        plan = u_out[:, :, None] * kernel * v_out[:, None, :]
+        return plan, np.log(np.minimum(plan, 1.0)), np.log(u_out), np.log(v_out), iterations, failed
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    peak = a.max(axis=axis, keepdims=True)
+    return peak.squeeze(axis) + np.log(np.exp(a - peak).sum(axis=axis))
+
+
+def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
+                       max_iter: int):
+    """The log-domain iteration on stacked exponents ``km = -lam * C``.
+
+    Absorption stabilization (Schmitzer, arXiv:1610.06519): plain scalings
+    ``u, v`` sweep on the kernel ``exp(f + km + g)`` with the log potentials
+    ``f, g`` absorbed.  A problem's first sweep, and any sweep that would
+    take its ``u`` or ``v`` out of :data:`_ABSORB_RANGE`, is run by
+    log-sum-exp instead, after absorbing ``v`` into ``g``; then its kernel is
+    rebuilt.  So no magnitude of ``lam * cost`` can underflow the iteration,
+    and the iterates are those of log-sum-exp sweeps up to round-off.  Each
+    pass advances every active problem by one sweep of either kind, and
+    problems leave the stack as in :func:`_lockstep`.  Returns what
+    :func:`_lockstep` does, without the failure mask; the largest log row
+    scaling is normalized to zero.
+    """
+    B, m, n = km.shape
+    f_out = np.zeros((B, m))
+    g_out = np.zeros((B, n))
+    iterations = np.zeros(B, dtype=int)
+    active = np.arange(B)
+    log_P, log_Q = np.log(P), np.log(Q)
+    P = P[:, :, None]
+    Q = Q[:, :, None]
+    low, high = _ABSORB_RANGE
+    f = np.zeros((B, m))
+    g = np.zeros((B, n))
+    K = np.empty((B, m, n))
+    KT = K.transpose(0, 2, 1)
+    exponent = km  # compacted with the active set; km stays whole
+    u = np.ones((B, m, 1))
+    v = np.ones((B, n, 1))
+    redo = active  # the problems sweeping by log-sum-exp in this pass
+    none = active[:0]
+    it = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while B:
+            if redo.size:
+                f[redo] = log_P[redo] - _logsumexp(exponent[redo] + g[redo, None, :], axis=2)
+                g[redo] = log_Q[redo] - _logsumexp(exponent[redo] + f[redo, :, None], axis=1)
+                K[redo] = np.exp(f[redo, :, None] + exponent[redo] + g[redo, None, :])
+                u[redo] = 1.0
+                v[redo] = 1.0
+            it += 1
+            t = K @ v
+            err = np.maximum.reduce(np.abs(u * t - P), axis=1)
+            if it >= max_iter or not np.minimum.reduce(err, axis=None) > tol:
+                going = err[:, 0] > tol if it < max_iter else np.zeros(len(err), dtype=bool)
+                stop = ~going
+                done = active[stop]
+                f_out[done] = f[stop] + np.log(u[stop, :, 0])
+                g_out[done] = g[stop] + np.log(v[stop, :, 0])
+                iterations[done] = it
+                if not going.any():
+                    break
+                active = active[going]
+                exponent, K, P, Q, log_P, log_Q, f, g, t, u, v = (
+                    a[going] for a in (exponent, K, P, Q, log_P, log_Q, f, g, t, u, v))
+                KT = K.transpose(0, 2, 1)
+            u_next = P / t
+            v_next = Q / (KT @ u_next)
+            # a NaN fails every comparison, so non-finite scalings are redone
+            # too; most passes keep every problem, which four reductions show
+            if (u_next.min() > low and u_next.max() < high
+                    and v_next.min() > low and v_next.max() < high):
+                redo = none
+            else:
+                redo = np.flatnonzero(~((u_next.min(axis=1) > low) & (u_next.max(axis=1) < high)
+                                        & (v_next.min(axis=1) > low)
+                                        & (v_next.max(axis=1) < high))[:, 0])
+                g[redo] += np.log(v[redo, :, 0])  # absorb the last accepted v
+            u, v = u_next, v_next
+    shift = f_out.max(axis=1, keepdims=True)
+    f_out = f_out - shift
+    g_out = g_out + shift
+    log_plan = f_out[:, :, None] + km + g_out[:, None, :]
+    return np.exp(log_plan), log_plan, f_out, g_out, iterations
+
+
+def sinkhorn(p, q, cost, lam: float, tol: float = 1e-9, max_iter: int = 100_000) -> SinkhornResult:
+    """Multiplicative scaling iteration on the kernel ``exp(-lam * cost)``.
+
+    Alternates row and column scaling updates from an all-ones column
+    scaling until the max-norm marginal violation drops to ``tol`` or
+    ``max_iter`` update pairs have run (then ``converged`` is False).  This
+    is the plain batched iteration on a stack of one.  Raises
+    :class:`KernelUnderflowError` when a kernel product vanishes or
+    overflows, or a row scaling underflows to zero once the largest is
+    normalized to one; use :func:`sinkhorn_stabilized` there.
+    """
+    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    P, Q, C = p[None], q[None], C[None]
+    *solved, failed = _lockstep(-lam * C, P, Q, tol, max_iter)
+    if failed[0]:
+        raise KernelUnderflowError(
+            "the plain scaling iteration underflowed; switch to sinkhorn_stabilized"
+        )
+    return _single(_finalize(P, Q, C, lam, tol, *solved, stabilized=np.zeros(1, dtype=bool)),
+                   p, q, lam)
+
+
+def sinkhorn_stabilized(p, q, cost, lam: float, tol: float = 1e-9,
+                        max_iter: int = 100_000) -> SinkhornResult:
+    """Log-domain scaling iteration; same contract as :func:`sinkhorn`.
+
+    The absorbed log-domain iteration of :func:`_absorbed_lockstep` on a
+    stack of one, so no magnitude of ``lam * cost`` can underflow it.
+    """
+    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    P, Q, C = p[None], q[None], C[None]
+    solved = _absorbed_lockstep(-lam * C, P, Q, tol, max_iter)
+    return _single(_finalize(P, Q, C, lam, tol, *solved, stabilized=np.ones(1, dtype=bool)),
+                   p, q, lam)
+
+
+def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
+                  max_iter: int = 100_000) -> SinkhornResult:
+    """The plain or log-domain iteration, chosen as :func:`_sinkhorn_batch`
+    chooses it for a stack of one.
+
+    The plain form is used while ``max |lam * cost|`` stays inside the safe
+    exponent range; beyond that (or on a detected underflow) the log-domain
+    form takes over.
+    """
+    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    return _single(_sinkhorn_batch(p[None], q[None], C[None], lam, tol, max_iter), p, q, lam)
 
 
 def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
@@ -401,75 +434,33 @@ def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
 
     ``P`` is ``[B, m]``, ``Q`` is ``[B, n]`` and ``C`` is ``[B, m, n]``; the
     rows of ``P`` and ``Q`` must already be probability vectors with
-    positive entries.  Problems with ``max |lam * cost|`` beyond
-    :data:`STABILIZE_THRESHOLD` go to :func:`sinkhorn_stabilized` one by
-    one.  The rest run the multiplicative iteration in lockstep with the
-    stopping rule of :func:`sinkhorn` checked on every sweep, so each keeps
-    the iteration count it would have alone.  A problem whose marginal
-    error turns non-finite or whose normalized row scaling underflows
-    (where :func:`sinkhorn` raises :class:`KernelUnderflowError`) is solved
-    again from scratch by :func:`sinkhorn_stabilized`.
+    positive entries.  Problems with ``max |lam * cost|`` up to
+    :data:`STABILIZE_THRESHOLD` run the plain iteration of :func:`_lockstep`.
+    The rest, together with the plain problems that failed there (where
+    :func:`sinkhorn` raises :class:`KernelUnderflowError`), run the
+    log-domain iteration of :func:`_absorbed_lockstep` in one call, the
+    failed ones again from scratch.  Both loops check the stopping rule on
+    every sweep, so each problem keeps the iteration count it would have
+    alone.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     C = np.asarray(C, dtype=float)
     _validate_settings(C, lam, tol, max_iter)
-    B, m, n = C.shape
-    plan = np.empty((B, m, n))
-    log_u = np.empty((B, m))
-    log_v = np.empty((B, n))
-    d_s = np.empty(B)
-    h = np.empty(B)
-    marginal_error = np.empty(B)
-
-    stabilized = np.abs(lam * C).reshape(B, -1).max(axis=1) > STABILIZE_THRESHOLD
+    B = len(C)
+    km = -lam * C
+    solved = (np.empty(C.shape), np.empty(C.shape), np.empty(P.shape), np.empty(Q.shape),
+              np.empty(B, dtype=int))
+    stabilized = np.abs(km).reshape(B, -1).max(axis=1) > STABILIZE_THRESHOLD
     plain = np.flatnonzero(~stabilized)
-    K = np.exp(-lam * C[plain])
-    u, v, iterations_plain, failed = _lockstep(K, P[plain], Q[plain], tol, max_iter)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = u.max(axis=1, keepdims=True)
-        u = u / scale
-        v = v * scale
-        failed |= ~(u.min(axis=1) > 0.0)  # a row scaling underflowed, as in sinkhorn
+    *results, failed = _lockstep(km[plain], P[plain], Q[plain], tol, max_iter)
+    for out, result in zip(solved, results):
+        out[plain] = result
     stabilized[plain[failed]] = True
-    ok = ~failed
-    rows = plain[ok]
-    u, v = u[ok], v[ok]
-    x = u[:, :, None] * K[ok] * v[:, None, :]
-    plan[rows] = x
-    log_u[rows] = np.log(u)
-    log_v[rows] = np.log(v)
-    marginal_error[rows] = _marginal_errors(x, P[rows], Q[rows])
-    d_s[rows] = (x * C[rows]).sum(axis=(1, 2))
-    x = _unit_range(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h[rows] = -np.where(x > 0.0, x * np.log(x), 0.0).sum(axis=(1, 2))
-    iterations = np.zeros(B, dtype=int)
-    iterations[rows] = iterations_plain[ok]
-
-    for k in np.flatnonzero(stabilized):
-        res = sinkhorn_stabilized(P[k], Q[k], C[k], lam, tol, max_iter)
-        plan[k] = res.plan.matrix
-        log_u[k] = res.log_scaling_row
-        log_v[k] = res.log_scaling_col
-        d_s[k] = res.d_s
-        h[k] = res.entropy
-        marginal_error[k] = res.marginal_error
-        iterations[k] = res.iterations
-
-    dual_row, dual_col = _scaling_duals(log_u, log_v, lam)
-    return _BatchResult(
-        plan=plan,
-        d_s=d_s,
-        entropy=h,
-        de_s=d_s - h / lam,
-        dual_row=dual_row,
-        dual_col=dual_col,
-        iterations=iterations,
-        marginal_error=marginal_error,
-        converged=marginal_error <= tol,
-        stabilized=stabilized,
-    )
+    logs = np.flatnonzero(stabilized)
+    for out, result in zip(solved, _absorbed_lockstep(km[logs], P[logs], Q[logs], tol, max_iter)):
+        out[logs] = result
+    return _finalize(P, Q, C, lam, tol, *solved, stabilized=stabilized)
 
 
 def _scaling_duals(log_u: np.ndarray, log_v: np.ndarray, lam: float):

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from conftest import height3_pair, split_timing_pair, underflow_tree
-from nested_sinkhorn import flat_nested_lp, parse_tree, serialize_tree, wasserstein_distance
+from nested_sinkhorn import (cost_matrix, flat_nested_lp, parse_tree, serialize_tree,
+                             wasserstein_distance)
 from nested_sinkhorn import cli
 from nested_sinkhorn.cli import RunConfig, main, run
 
@@ -130,6 +131,18 @@ class TestOutputs:
         assert doc["command"] == "wasserstein"
         assert isinstance(doc["rows"], list)
         assert doc["rows"][0]["distance"] == pytest.approx(0.05, abs=1e-12)
+
+    def test_sinkhorn_json_log_domain(self, tmp_path, capsys):
+        # max |lambda * cost| = 4200 sends the flat solve to the log-domain loop
+        pair = split_timing_pair(0.1)
+        assert 2000.0 * cost_matrix(*pair, 1.0).max() > 600.0
+        path_a, path_b = write_pair(tmp_path, pair)
+        assert main(["sinkhorn", "--tree-a", path_a, "--tree-b", path_b,
+                     "--lambda", "2000", "--output", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["converged"] is True
+        d_w = wasserstein_distance(*pair, 1.0)
+        assert row["de_s"] - 1e-12 <= d_w <= row["d_s"] + 1e-12
 
     def test_verify_json(self, tmp_path, capsys):
         pair = height3_pair()

@@ -10,6 +10,7 @@ from conftest import (
     path_tree,
     random_tree_pair,
     split_timing_pair,
+    tree_from_nodes,
     underflow_tree,
     uneven_tree,
 )
@@ -136,6 +137,48 @@ class TestFlatNestedLp:
             assert conditional_marginal_residuals(
                 tree_a, tree_b, flat_plan.matrix
             ) <= 1e-8
+
+    @pytest.mark.parametrize("tiny_branch_pair, failure", [
+        (lambda: (
+            tree_from_nodes([
+                {"id": 0, "parent": None, "state": -1.0, "prob": 1.0},
+                {"id": 1, "parent": 0, "state": -1.0, "prob": 0.5},
+                {"id": 2, "parent": 0, "state": -1.0, "prob": 0.5},
+                {"id": 3, "parent": 1, "state": -1.0, "prob": 0.5},
+                {"id": 4, "parent": 1, "state": -1.0, "prob": 0.5},
+                {"id": 5, "parent": 2, "state": -1.0, "prob": 1.0},
+            ]),
+            tree_from_nodes([
+                {"id": 0, "parent": None, "state": -1.0, "prob": 1.0},
+                {"id": 1, "parent": 0, "state": -1.0, "prob": 3.9999999680000004e-09},
+                {"id": 2, "parent": 0, "state": -1.0, "prob": 3.9999999680000004e-09},
+                {"id": 3, "parent": 0, "state": -1.0, "prob": 0.9999999920000001},
+                {"id": 4, "parent": 1, "state": -1.0, "prob": 0.999999999},
+                {"id": 5, "parent": 1, "state": -1.0, "prob": 9.999999990000001e-10},
+                {"id": 6, "parent": 2, "state": 0.0, "prob": 1.0},
+                {"id": 7, "parent": 3, "state": -1.0, "prob": 1.0},
+            ]),
+        ), "lost primal feasibility"),
+        (lambda: (
+            path_tree([-1.0, -1.0, -1.0]),
+            tree_from_nodes([
+                {"id": 0, "parent": None, "state": -1.0, "prob": 1.0},
+                {"id": 1, "parent": 0, "state": -1.0, "prob": 0.999999999},
+                {"id": 2, "parent": 0, "state": -1.0, "prob": 9.999999990000001e-10},
+                {"id": 3, "parent": 1, "state": -1.0, "prob": 1.0},
+                {"id": 4, "parent": 2, "state": 0.0, "prob": 1.0},
+            ]),
+        ), "violates the conditional marginals"),
+    ])
+    def test_tiny_branches_raise_accurate_error(self, tiny_branch_pair, failure):
+        # branch probabilities near 1e-9 are the size of the dense simplex's
+        # absolute tolerances: it loses feasibility on the first pair and
+        # misplaces the 1e-9 mass of the second, where the answer is 1e-9
+        tree_a, tree_b = tiny_branch_pair()
+        assert nested_exact(tree_a, tree_b, 1.0).value_pow > 0.0
+        with pytest.raises(RuntimeError, match=failure) as raised:
+            flat_nested_lp(tree_a, tree_b, 1.0)
+        assert "smallest leaf probability" in str(raised.value)
 
     def test_size_cap(self):
         tree_a, tree_b = height3_pair()

@@ -5,9 +5,10 @@ small set (so equal states and zero costs are common) and branch weights
 that include 1e-9, which leaves branches of probability about 1e-9.  Values
 are compared as r-th powers, where the solvers' absolute tolerances apply.
 
-The flat-LP oracle is drawn without the 1e-9 weights: its dense simplex
-has absolute tolerances of 1e-10 to 1e-8, and on such branches it can
-report a wrong value or lose feasibility.
+The flat-LP oracle's dense simplex has absolute tolerances of 1e-10 to
+1e-8; on 1e-9 branches it can lose feasibility or stop at a wrong vertex,
+and then it must raise instead of returning a value.  The node-order
+property still draws it without the 1e-9 weights.
 
 The generated trees list their nodes stage by stage; ``interleaved``
 (conftest) lists the same tree with siblings spread across the list.
@@ -63,11 +64,16 @@ def tree_pairs(draw, weights=WEIGHTS):
 
 
 @PROPERTY_SETTINGS
-@given(tree_pairs(ORACLE_WEIGHTS))
+@given(tree_pairs())
 def test_recursion_matches_flat_lp(pair):
     tree_a, tree_b, r = pair
-    flat_value, _ = flat_nested_lp(tree_a, tree_b, r)
-    assert nested_exact(tree_a, tree_b, r).value_pow == pytest.approx(flat_value**r, abs=1e-8)
+    try:
+        flat_value, _ = flat_nested_lp(tree_a, tree_b, r)
+    except RuntimeError as exc:
+        assert "smallest leaf probability" in str(exc)
+        return
+    assert nested_exact(tree_a, tree_b, r).value_pow == pytest.approx(flat_value**r, rel=1e-9,
+                                                                      abs=1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -17,7 +17,7 @@ from nested_sinkhorn import (
     sinkhorn_stabilized,
     solve_transport_lp,
 )
-from nested_sinkhorn.sinkhorn import _finalize, _sinkhorn_batch, _validate_inputs
+from nested_sinkhorn.sinkhorn import _finalize, _single, _sinkhorn_batch, _validate_inputs
 
 # the package exports the function ``sinkhorn``, which hides the module of that name
 sinkhorn_module = importlib.import_module("nested_sinkhorn.sinkhorn")
@@ -188,8 +188,72 @@ def log_domain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     f = f - shift
     g = g + shift
     log_plan = f[:, None] + km + g[None, :]
-    return _finalize(p, q, C, lam, np.exp(log_plan), f, g, it, tol, stabilized=True,
-                     log_plan=log_plan)
+    batch = _finalize(p[None], q[None], C[None], lam, tol, np.exp(log_plan)[None],
+                      log_plan[None], f[None], g[None], np.array([it]), np.array([True]))
+    return _single(batch, p, q, lam)
+
+
+def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
+    """The multiplicative iteration as a flat loop, without underflow
+    guards.  ``sinkhorn`` and the batched plain loop must reproduce its
+    iterates."""
+    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    K = np.exp(-lam * C)
+    u = np.ones(p.size)
+    v = np.ones(q.size)
+    it = 0
+    while True:
+        t = K @ v
+        if it > 0:
+            err = float(np.abs(u * t - p).max())
+            if err <= tol or it >= max_iter:
+                break
+        u = p / t
+        v = q / (K.T @ u)
+        it += 1
+    scale = u.max()
+    u = u / scale
+    v = v * scale
+    plan = u[:, None] * K * v[None, :]
+    batch = _finalize(p[None], q[None], C[None], lam, tol, plan[None], np.log(plan)[None],
+                      np.log(u)[None], np.log(v)[None], np.array([it]), np.array([False]))
+    return _single(batch, p, q, lam)
+
+
+class TestPlainIteration:
+    """``sinkhorn``, ``sinkhorn_auto`` below the log-domain threshold and the
+    batched plain loop must follow ``plain_reference`` sweep for sweep."""
+
+    @staticmethod
+    def assert_same(ref, plan, log_u, log_v, iterations, converged):
+        assert iterations == ref.iterations
+        assert converged == ref.converged
+        assert plan == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+        assert log_u == pytest.approx(ref.log_scaling_row, rel=0, abs=1e-12)
+        assert log_v == pytest.approx(ref.log_scaling_col, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 100_000])
+    def test_flat_and_batched_paths(self, max_iter):
+        rng = np.random.default_rng(10)
+        lam, tol = 8.0, 1e-10  # max |lam * cost| stays below 24
+        problems = [(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(5)),
+                     rng.uniform(0.0, 3.0, size=(4, 5))) for _ in range(5)]
+        refs = [plain_reference(p, q, cost, lam, tol, max_iter) for p, q, cost in problems]
+        for (p, q, cost), ref in zip(problems, refs):
+            for res in (sinkhorn(p, q, cost, lam, tol, max_iter),
+                        sinkhorn_auto(p, q, cost, lam, tol, max_iter)):
+                assert not res.stabilized
+                self.assert_same(ref, res.plan.matrix, res.log_scaling_row, res.log_scaling_col,
+                                 res.iterations, res.converged)
+        batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol, max_iter)
+        assert not batch.stabilized.any()
+        for k, ref in enumerate(refs):
+            self.assert_same(ref, batch.plan[k], batch.log_scaling_row[k],
+                             batch.log_scaling_col[k], batch.iterations[k], batch.converged[k])
+        if max_iter > 3:
+            # every problem leaves the stack on its own sweep
+            assert len({ref.iterations for ref in refs}) == len(refs)
+            assert all(ref.converged for ref in refs)
 
 
 def signed_instance(rng, m, n, magnitude):
@@ -260,6 +324,49 @@ class TestAbsorbedIteration:
         assert len(calls) > 2
 
 
+    def test_stacked_problems(self, monkeypatch):
+        # one stack at max |lam * cost| = 1e3, 1e4 and 1e5: the problems
+        # repair different numbers of sweeps, the first two converge on
+        # different sweeps and the third is cut off by max_iter
+        rng = np.random.default_rng(27)
+        problems = []
+        for magnitude in (1e3, 1e4, 1e5):
+            p, q, cost, _ = signed_instance(rng, 4, 5, magnitude)
+            problems.append((p, q, magnitude * cost))
+        lam, tol, max_iter = 1.0, 1e-9, 2000
+        sweeps = []
+        log_sum_exp = sinkhorn_module._logsumexp
+
+        def counted(a, axis):
+            sweeps.append(len(a))  # problems in this log-sum-exp half-sweep
+            return log_sum_exp(a, axis)
+
+        monkeypatch.setattr(sinkhorn_module, "_logsumexp", counted)
+        repairs = []
+        for p, q, cost in problems:
+            sweeps.clear()
+            sinkhorn_stabilized(p, q, cost, lam, tol, max_iter)
+            repairs.append(sum(sweeps) // 2 - 1)
+        sweeps.clear()
+        batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol, max_iter)
+        assert len(set(repairs)) == len(problems)
+        assert sum(sweeps) // 2 == len(problems) + sum(repairs)
+        assert batch.stabilized.all()
+        refs = [log_domain_reference(p, q, cost, lam, tol, max_iter) for p, q, cost in problems]
+        for k, ((p, q, cost), ref) in enumerate(zip(problems, refs)):
+            assert batch.iterations[k] == ref.iterations
+            assert batch.converged[k] == ref.converged
+            atol = 1e-12 * max(1.0, float(np.abs(lam * cost).max()))
+            assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=atol)
+            assert batch.log_scaling_row[k] == pytest.approx(ref.log_scaling_row, rel=0, abs=atol)
+            assert batch.log_scaling_col[k] == pytest.approx(ref.log_scaling_col, rel=0, abs=atol)
+            assert batch.de_s[k] == pytest.approx(ref.de_s, rel=0, abs=atol)
+            assert batch.log_scaling_row[k].max() == 0.0
+        assert [ref.converged for ref in refs] == [True, True, False]
+        assert refs[0].iterations != refs[1].iterations
+        assert refs[2].iterations == max_iter
+
+
 class TestSinkhornBatch:
     def test_underflow_retry_matches_auto(self):
         # the first problem stays under the log-domain threshold, but its
@@ -311,6 +418,32 @@ class TestSinkhornBatch:
         assert batch.de_s[0] == pytest.approx(ref.de_s, rel=1e-12)
         assert batch.dual_row[0] == pytest.approx(ref_duals.beta, rel=1e-12)
         assert batch.dual_col[0] == pytest.approx(ref_duals.gamma, rel=1e-12)
+
+
+    def test_one_log_domain_call_per_stack(self, monkeypatch):
+        # a plain problem, the plain failure of the test above and a problem
+        # past the log-domain threshold: the failure and the large problem
+        # share one call of the log-domain loop
+        calls = []
+        absorbed = sinkhorn_module._absorbed_lockstep
+
+        def counted(km, *args):
+            calls.append(len(km))
+            return absorbed(km, *args)
+
+        P = np.ones((3, 1))
+        Q = np.array([[0.3, 0.7], [0.15488989, 0.84511011], [0.6, 0.4]])
+        C = np.array([[[0.0, 1.0]], [[-551.38714657, 278.40743479]], [[-700.0, 900.0]]])
+        refs = [sinkhorn_auto(P[k], Q[k], C[k], lam=1.0, tol=1e-12) for k in range(3)]
+        monkeypatch.setattr(sinkhorn_module, "_absorbed_lockstep", counted)
+        batch = _sinkhorn_batch(P, Q, C, lam=1.0, tol=1e-12)
+        assert calls == [2]
+        assert batch.stabilized.tolist() == [False, True, True]
+        for k, ref in enumerate(refs):
+            assert ref.stabilized == batch.stabilized[k]
+            assert batch.iterations[k] == ref.iterations
+            assert batch.converged[k] == ref.converged
+            assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
 
 
 class TestEntropy:
