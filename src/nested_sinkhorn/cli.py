@@ -238,7 +238,8 @@ def _cmd_verify(config: RunConfig) -> int:
         rows.append({"report": "equivalence", "check": "converged", "passed": False,
                      "value": float(sink.total_iterations)})
 
-    _emit(config, ["report", "check", "passed", "value"], rows)
+    _emit(config, ["report", "check", "passed", "value"], rows,
+          {"stats": [asdict(stage) for stage in sink.stats]})
     return 0 if all(row["passed"] for row in rows) else 1
 
 

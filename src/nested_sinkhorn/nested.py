@@ -126,9 +126,10 @@ class StageStats:
     ``shapes`` lists the distinct child-count shapes ``(m, n)`` of the
     stage's subproblems.  ``iterations`` is the stage's total of scaling
     sweeps and the ``iterations_*`` fields its spread over the subproblems
-    (all 0 for exact LPs); ``stabilized`` counts the subproblems the
-    log-domain iteration solved, ``max_marginal_error`` is the largest
-    marginal violation of a stage plan and ``wall_s`` the stage's wall time.
+    (all 0 for exact LPs); ``newton`` is the stage's total of Newton steps
+    and ``stabilized`` counts the subproblems whose first sweeps ran in the
+    log domain.  ``max_marginal_error`` is the largest marginal violation
+    of a stage plan and ``wall_s`` the stage's wall time.
     """
 
     stage: int
@@ -138,6 +139,7 @@ class StageStats:
     iterations_min: int
     iterations_median: float
     iterations_max: int
+    newton: int
     stabilized: int
     max_marginal_error: float
     wall_s: float
@@ -229,7 +231,7 @@ def _solve_stagewise(
             iterations=np.empty((Na, Nb), dtype=int), converged=np.empty((Na, Nb), dtype=bool),
             plan=np.empty((Ma, Mb)), dual_row=np.empty((Ma, Nb)), dual_col=np.empty((Na, Mb)),
         )
-        stabilized = 0
+        stabilized = newton = 0
         worst = 0.0
         for nodes_a, kids_a in index_a.children[t].values():
             for nodes_b, kids_b in index_b.children[t].values():
@@ -249,6 +251,7 @@ def _solve_stagewise(
                 table.dual_col[nodes_a[:, None, None], kids_b[None, :, :]] = \
                     batch.dual_col.reshape(I, J, n)
                 stabilized += int(batch.stabilized.sum())
+                newton += int(batch.newton.sum())
                 worst = max(worst, float(batch.marginal_error.max()))
         for array_field in fields(table)[3:]:  # the fields after tree_a, tree_b, stage
             getattr(table, array_field.name).flags.writeable = False
@@ -261,6 +264,7 @@ def _solve_stagewise(
             iterations_min=int(table.iterations.min()),
             iterations_median=float(np.median(table.iterations)),
             iterations_max=int(table.iterations.max()),
+            newton=newton,
             stabilized=stabilized,
             max_marginal_error=worst,
             wall_s=time.perf_counter() - start,
@@ -282,17 +286,27 @@ def _compose(tree_a: ScenarioTree, tree_b: ScenarioTree, tables: list[StageTable
 
 def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray) -> _BatchResult:
     """One transportation LP per problem of a group, stacked in the layout of
-    :func:`_sinkhorn_batch`; no sweeps, and the value is the LP optimum."""
-    lps = [solve_transport_lp(p, q, c) for p, q, c in zip(P, Q, C)]
-    plan = np.array([lp.plan.matrix for lp in lps])
-    value = np.array([lp.value for lp in lps])
-    sweeps = np.zeros(len(lps), dtype=int)
+    :func:`_sinkhorn_batch`; no sweeps, and the value is the LP optimum.  A
+    group with a single row or column needs no simplex: its one feasible
+    plan is ``outer(p, q)``, and its duals are the ones the simplex pins,
+    row 0 at zero and the rest read off column 0 and row 0 of the cost."""
+    _, m, n = C.shape
+    if m == 1 or n == 1:
+        plan = P[:, :, None] * Q[:, None, :]
+        value = (plan * C).sum(axis=(1, 2))
+        dual_row, dual_col = C[:, :, 0] - C[:, :1, 0], C[:, 0, :]
+    else:
+        lps = [solve_transport_lp(p, q, c) for p, q, c in zip(P, Q, C)]
+        plan = np.array([lp.plan.matrix for lp in lps])
+        value = np.array([lp.value for lp in lps])
+        dual_row = np.array([lp.dual_row for lp in lps])
+        dual_col = np.array([lp.dual_col for lp in lps])
+    sweeps = np.zeros(len(C), dtype=int)
     return _BatchResult(
         plan=plan, d_s=value, entropy=np.array([entropy(x) for x in plan]), de_s=value,
-        dual_row=np.array([lp.dual_row for lp in lps]),
-        dual_col=np.array([lp.dual_col for lp in lps]),
-        iterations=sweeps, marginal_error=_marginal_errors(plan, P, Q),
-        converged=sweeps == 0, stabilized=sweeps > 0,
+        dual_row=dual_row, dual_col=dual_col, iterations=sweeps,
+        marginal_error=_marginal_errors(plan, P, Q), converged=sweeps == 0,
+        stabilized=sweeps > 0, newton=sweeps,
     )
 
 
@@ -334,14 +348,18 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     Each conditional subproblem is solved by the scaling iteration and
     contributes its full entropic objective as the cost seen one stage
     earlier.  A stage's subproblems are grouped by shape and each group is
-    solved by :func:`_sinkhorn_batch`: the plain loop for subproblems
-    inside the safe exponent range, then one log-domain loop for the rest
-    and for those on which the plain one underflowed.  Every subproblem
-    keeps the iterations, plan and multipliers ``sinkhorn_auto`` would give
-    it alone.  Subproblems run at tolerance ``tol / T`` so the stagewise
-    marginal errors cannot push the composed plan's feasibility beyond
-    ``tol``.  A subproblem hitting ``max_iter`` flags the whole result as
-    unconverged instead of raising.
+    solved by :func:`_sinkhorn_batch`: a short block of sweeps, in the plain
+    loop for subproblems inside the safe exponent range and in one
+    log-domain loop for the rest and for those on which the plain one
+    underflowed, then batched Newton steps for the subproblems still
+    unconverged, alternating with doubling blocks of log-domain sweeps where
+    Newton stalls.  Every subproblem keeps the sweeps, Newton steps, plan
+    and multipliers ``sinkhorn_auto`` would give it alone; ``stats`` counts
+    both kinds of work per stage.  Subproblems run at tolerance ``tol / T``
+    so the stagewise marginal errors cannot push the composed plan's
+    feasibility beyond ``tol``.  A subproblem that has swept ``max_iter``
+    times unconverged flags the whole result as unconverged instead of
+    raising.
     """
     leaf_cost = cost_matrix(tree_a, tree_b, r)
     _check_height(tree_a)

@@ -9,10 +9,15 @@ any sweep that leaves the safe scaling range by a log-sum-exp sweep
 (Schmitzer, arXiv:1610.06519).  Both stop on the max-norm marginal
 violation, normalize the scaling pair so the largest row scaling is one,
 and report the plan, its cost, its entropy, and the entropic objective.
-One dispatcher chooses the form per problem, for the stagewise subproblems
-of the nested recursion; the flat functions run a stack of one.  Dual
-multipliers recovered from the scalings certify the result against the
-exact linear program.
+One dispatcher chooses the form per problem, sweeps a short block, and
+finishes the problems still unconverged by damped Newton steps on the
+semi-dual (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635), going back to
+log-domain sweeps, in doubling blocks, wherever a Newton step fails to
+halve the marginal violation.  It solves the stagewise subproblems of the
+nested recursion, and :func:`sinkhorn_auto` is a stack of one;
+:func:`sinkhorn` and :func:`sinkhorn_stabilized` are the two sweep loops
+alone.  Dual multipliers recovered from the scalings certify the result
+against the exact linear program.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ __all__ = [
 STABILIZE_THRESHOLD = 600.0  # |lam * cost| beyond which exp() risks under/overflow
 BOUND_SLACK = 1e-8           # tolerance granted to every checked inequality
 _ABSORB_RANGE = (1e-30, 1e30)  # sinkhorn_stabilized keeps its scalings strictly inside
+_SWEEP_BLOCK = 50     # sweeps before a problem's first Newton phase; later blocks double
+_NEWTON_CAP = 8.0     # largest change of a log potential in one Newton step
+_ARMIJO = 1e-4        # sufficient increase of the semi-dual objective along a step
+_LINE_SEARCH = 30     # step halvings before a Newton step is given up
 
 
 class KernelUnderflowError(FloatingPointError):
@@ -61,7 +70,9 @@ class SinkhornResult:
     objective, which may be negative for small ``lam``.  The plan factors as
     ``diag(scaling_row) @ exp(-lam * cost) @ diag(scaling_col)``; the log
     scalings are kept alongside because the plain scalings can overflow in
-    extreme regimes.
+    extreme regimes.  ``iterations`` counts scaling sweeps and ``newton``
+    Newton steps; ``stabilized`` marks a solve whose first sweeps ran in the
+    log domain.
     """
 
     plan: TransportPlan
@@ -77,6 +88,7 @@ class SinkhornResult:
     marginal_error: float
     converged: bool
     stabilized: bool = False
+    newton: int = 0
 
 
 @dataclass
@@ -178,7 +190,8 @@ class _BatchResult:
     """Outcomes of a stack of problems, one entry per problem along the
     leading axis.  The fields mirror :class:`SinkhornResult`; ``dual_row``
     and ``dual_col`` are the multipliers of :func:`dual_from_scalings`.  The
-    log scalings are set by the scaling iteration only."""
+    log scalings are set by the scaling iteration only; ``newton`` counts
+    each problem's Newton steps."""
 
     plan: np.ndarray
     d_s: np.ndarray
@@ -190,6 +203,7 @@ class _BatchResult:
     marginal_error: np.ndarray
     converged: np.ndarray
     stabilized: np.ndarray
+    newton: np.ndarray
     log_scaling_row: Optional[np.ndarray] = None
     log_scaling_col: Optional[np.ndarray] = None
 
@@ -201,7 +215,7 @@ def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarr
 
 
 def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
-              stabilized) -> _BatchResult:
+              stabilized, newton=None) -> _BatchResult:
     """Results of a stack of solved problems, in either form, from the plans,
     the logs of their entries and the log scalings.  The entropy reads the
     log entries, which stay exact where a log-domain plan entry underflows."""
@@ -222,6 +236,7 @@ def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
         marginal_error=marginal_error,
         converged=marginal_error <= tol,
         stabilized=stabilized,
+        newton=np.zeros(len(plan), dtype=int) if newton is None else newton,
         log_scaling_row=log_u,
         log_scaling_col=log_v,
     )
@@ -234,7 +249,8 @@ def _single(batch: _BatchResult, p: np.ndarray, q: np.ndarray, lam: float) -> Si
     # fields are the reliable carriers there
     with np.errstate(over="ignore"):
         scaling_row, scaling_col = np.exp(log_u), np.exp(log_v)
-    scalars = ("d_s", "entropy", "de_s", "iterations", "marginal_error", "converged", "stabilized")
+    scalars = ("d_s", "entropy", "de_s", "iterations", "marginal_error", "converged", "stabilized",
+               "newton")
     return SinkhornResult(TransportPlan(batch.plan[0], p, q), scaling_row, scaling_col, log_u,
                           log_v, lam=lam, **{name: getattr(batch, name)[0].item() for name in scalars})
 
@@ -300,8 +316,9 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
-                       max_iter: int):
-    """The log-domain iteration on stacked exponents ``km = -lam * C``.
+                       max_iter: int, g: Optional[np.ndarray] = None):
+    """The log-domain iteration on stacked exponents ``km = -lam * C``, from
+    the log column potentials ``g`` (zero by default).
 
     Absorption stabilization (Schmitzer, arXiv:1610.06519): plain scalings
     ``u, v`` sweep on the kernel ``exp(f + km + g)`` with the log potentials
@@ -325,7 +342,7 @@ def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
     Q = Q[:, :, None]
     low, high = _ABSORB_RANGE
     f = np.zeros((B, m))
-    g = np.zeros((B, n))
+    g = np.zeros((B, n)) if g is None else g.copy()
     K = np.empty((B, m, n))
     KT = K.transpose(0, 2, 1)
     exponent = km  # compacted with the active set; km stays whole
@@ -371,11 +388,112 @@ def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
                                         & (v_next.max(axis=1) < high))[:, 0])
                 g[redo] += np.log(v[redo, :, 0])  # absorb the last accepted v
             u, v = u_next, v_next
-    shift = f_out.max(axis=1, keepdims=True)
-    f_out = f_out - shift
-    g_out = g_out + shift
-    log_plan = f_out[:, :, None] + km + g_out[:, None, :]
-    return np.exp(log_plan), log_plan, f_out, g_out, iterations
+    return (*_gibbs_plans(km, f_out, g_out), iterations)
+
+
+def _gibbs_plans(km: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """The plans ``exp(f + km + g)`` of a stack, the logs of their entries
+    and the log potentials, shifted so the largest row potential is zero."""
+    shift = f.max(axis=1, keepdims=True)
+    f = f - shift
+    g = g + shift
+    log_plan = f[:, :, None] + km + g[:, None, :]
+    return np.exp(log_plan), log_plan, f, g
+
+
+def _semi_dual(km: np.ndarray, log_Q: np.ndarray, f: np.ndarray):
+    """The column potentials that fit the column marginals exactly for the
+    row potentials ``f``, and the logs of the resulting plan entries."""
+    a = f[:, :, None] + km
+    g = log_Q - _logsumexp(a, axis=1)
+    return g, a + g[:, None, :]
+
+
+def _solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``H x = b`` for a stack; a singular system gets its least-squares
+    solution, the others the same solve as in a stack without it."""
+    try:
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.linalg.lstsq(H[0], b[0], rcond=None)[0][None]
+        return np.concatenate([_solve(H[k:k + 1], b[k:k + 1]) for k in range(len(H))])
+
+
+def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.ndarray,
+            tol: float):
+    """Damped Newton steps on the semi-dual of a stack (Brauer, Clason,
+    Lorenz & Wirth, arXiv:1710.06635), from the log potentials ``f, g``.
+
+    The larger side's potentials are eliminated by their exact log-sum-exp
+    update, and Newton solves for the smaller side's, one batched solve per
+    step.  The Hessian is the graph Laplacian of the weights
+    ``w_ik = sum_j X_ij X_kj / q_j``, its diagonal summed from those
+    weights (the form ``diag(r) - X diag(1/q) X^T`` cancels weak couplings
+    to zero), plus a rank-one term that fixes the gauge.  A step is capped
+    at :data:`_NEWTON_CAP` in every potential and halved until the max-norm
+    marginal error drops or the semi-dual objective passes an Armijo test.
+    A problem stops on its tolerance, or after the first step that does
+    not at least halve its error.  Returns the last potentials, the step
+    counts and the mask of converged problems.
+    """
+    if km.shape[1] > km.shape[2]:
+        g, f, steps, converged = _newton(np.ascontiguousarray(km.transpose(0, 2, 1)), Q, P,
+                                         g, f, tol)
+        return f, g, steps, converged
+    A, m, _ = km.shape
+    log_Q = np.log(Q)
+    g, log_x = _semi_dual(km, log_Q, f)
+    X = np.exp(log_x)
+    err = _marginal_errors(X, P, Q)
+    objective = (P * f).sum(axis=1) + (Q * g).sum(axis=1)
+    f_out, g_out = f.copy(), g
+    steps = np.zeros(A, dtype=int)
+    converged = err <= tol
+    active = np.flatnonzero(~converged)
+    f, X, err, objective = f[active], X[active], err[active], objective[active]
+    km, P, Q, log_Q = km[active], P[active], Q[active], log_Q[active]
+    gauge = np.full((m, m), 1.0 / m)
+    diagonal = np.arange(m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while active.size:
+            grad = P - X.sum(axis=2)
+            weights = X @ (X / Q[:, None, :]).transpose(0, 2, 1)
+            weights[:, diagonal, diagonal] = 0.0
+            hessian = gauge - weights
+            hessian[:, diagonal, diagonal] += weights.sum(axis=2)
+            step = _solve(hessian, grad)
+            step *= np.minimum(1.0, _NEWTON_CAP / np.abs(step).max(axis=1))[:, None]
+            slope = (grad * step).sum(axis=1)
+            steps[active] += 1
+            t = np.ones(len(active))
+            accepted = np.zeros(len(active), dtype=bool)
+            new_err = err.copy()
+            trying = np.arange(len(active))
+            for _ in range(_LINE_SEARCH):
+                f_try = f[trying] + t[trying, None] * step[trying]
+                g_try, log_x = _semi_dual(km[trying], log_Q[trying], f_try)
+                X_try = np.exp(log_x)
+                err_try = _marginal_errors(X_try, P[trying], Q[trying])
+                objective_try = (P[trying] * f_try).sum(axis=1) + (Q[trying] * g_try).sum(axis=1)
+                ok = ((err_try < err[trying])
+                      | (objective_try >= objective[trying] + _ARMIJO * t[trying] * slope[trying]))
+                took = trying[ok]
+                f[took], X[took], new_err[took] = f_try[ok], X_try[ok], err_try[ok]
+                objective[took] = objective_try[ok]
+                f_out[active[took]], g_out[active[took]] = f_try[ok], g_try[ok]
+                accepted[took] = True
+                trying = trying[~ok]
+                if not trying.size:
+                    break
+                t[trying] *= 0.5
+            done = accepted & (new_err <= tol)
+            converged[active[done]] = True
+            going = accepted & ~done & (new_err <= 0.5 * err)
+            active = active[going]
+            f, X, err, objective = f[going], X[going], new_err[going], objective[going]
+            km, P, Q, log_Q = km[going], P[going], Q[going], log_Q[going]
+    return f_out, g_out, steps, converged
 
 
 def sinkhorn(p, q, cost, lam: float, tol: float = 1e-9, max_iter: int = 100_000) -> SinkhornResult:
@@ -416,12 +534,14 @@ def sinkhorn_stabilized(p, q, cost, lam: float, tol: float = 1e-9,
 
 def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
                   max_iter: int = 100_000) -> SinkhornResult:
-    """The plain or log-domain iteration, chosen as :func:`_sinkhorn_batch`
-    chooses it for a stack of one.
+    """:func:`_sinkhorn_batch` on a stack of one.
 
-    The plain form is used while ``max |lam * cost|`` stays inside the safe
-    exponent range; beyond that (or on a detected underflow) the log-domain
-    form takes over.
+    The first sweeps use the plain form while ``max |lam * cost|`` stays
+    inside the safe exponent range; beyond that (or on a detected underflow)
+    the log-domain form takes over.  A problem still unconverged after
+    ``min(_SWEEP_BLOCK, max_iter)`` sweeps is finished by Newton steps and,
+    where they stop making progress, more log-domain sweeps; ``max_iter``
+    caps the sweeps.
     """
     p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
     return _single(_sinkhorn_batch(p[None], q[None], C[None], lam, tol, max_iter), p, q, lam)
@@ -434,14 +554,19 @@ def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
 
     ``P`` is ``[B, m]``, ``Q`` is ``[B, n]`` and ``C`` is ``[B, m, n]``; the
     rows of ``P`` and ``Q`` must already be probability vectors with
-    positive entries.  Problems with ``max |lam * cost|`` up to
-    :data:`STABILIZE_THRESHOLD` run the plain iteration of :func:`_lockstep`.
-    The rest, together with the plain problems that failed there (where
-    :func:`sinkhorn` raises :class:`KernelUnderflowError`), run the
-    log-domain iteration of :func:`_absorbed_lockstep` in one call, the
-    failed ones again from scratch.  Both loops check the stopping rule on
-    every sweep, so each problem keeps the iteration count it would have
-    alone.
+    positive entries.  The solve runs in rounds.  First every problem
+    sweeps for ``min(_SWEEP_BLOCK, max_iter)`` sweeps: problems with
+    ``max |lam * cost|`` up to :data:`STABILIZE_THRESHOLD` by the plain
+    iteration of :func:`_lockstep`, the rest, together with the plain
+    problems that failed there (where :func:`sinkhorn` raises
+    :class:`KernelUnderflowError`), by the log-domain iteration of
+    :func:`_absorbed_lockstep` in one call, the failed ones again from
+    scratch.  The problems still unconverged with sweeps left take
+    :func:`_newton` steps; those it does not finish sweep again in the log
+    domain from its potentials, for twice the previous block, and so on
+    until each converges or has swept ``max_iter`` times.  Every decision
+    is taken per problem, so each keeps the sweep and Newton counts, plan
+    and multipliers it would have alone.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -449,18 +574,38 @@ def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
     _validate_settings(C, lam, tol, max_iter)
     B = len(C)
     km = -lam * C
+    block = min(_SWEEP_BLOCK, max_iter)
     solved = (np.empty(C.shape), np.empty(C.shape), np.empty(P.shape), np.empty(Q.shape),
               np.empty(B, dtype=int))
+    plan, _, log_u, log_v, iterations = solved
     stabilized = np.abs(km).reshape(B, -1).max(axis=1) > STABILIZE_THRESHOLD
     plain = np.flatnonzero(~stabilized)
-    *results, failed = _lockstep(km[plain], P[plain], Q[plain], tol, max_iter)
+    *results, failed = _lockstep(km[plain], P[plain], Q[plain], tol, block)
     for out, result in zip(solved, results):
         out[plain] = result
     stabilized[plain[failed]] = True
     logs = np.flatnonzero(stabilized)
-    for out, result in zip(solved, _absorbed_lockstep(km[logs], P[logs], Q[logs], tol, max_iter)):
+    for out, result in zip(solved, _absorbed_lockstep(km[logs], P[logs], Q[logs], tol, block)):
         out[logs] = result
-    return _finalize(P, Q, C, lam, tol, *solved, stabilized=stabilized)
+    newton = np.zeros(B, dtype=int)
+    active = np.flatnonzero((_marginal_errors(plan, P, Q) > tol) & (iterations < max_iter))
+    while active.size:
+        f, g, steps, done = _newton(km[active], P[active], Q[active], log_u[active],
+                                    log_v[active], tol)
+        newton[active] += steps
+        for out, result in zip(solved, _gibbs_plans(km[active], f, g)):
+            out[active] = result
+        active, g = active[~done], g[~done]
+        if not active.size:
+            break
+        block = min(2 * block, max_iter - int(iterations[active].max()))
+        resumed = _absorbed_lockstep(km[active], P[active], Q[active], tol, block, g)
+        for out, result in zip(solved[:4], resumed):
+            out[active] = result
+        iterations[active] += resumed[4]
+        active = active[(_marginal_errors(plan[active], P[active], Q[active]) > tol)
+                        & (iterations[active] < max_iter)]
+    return _finalize(P, Q, C, lam, tol, *solved, stabilized=stabilized, newton=newton)
 
 
 def _scaling_duals(log_u: np.ndarray, log_v: np.ndarray, lam: float):

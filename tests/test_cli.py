@@ -6,8 +6,8 @@ import math
 import pytest
 
 from conftest import height3_pair, split_timing_pair, underflow_tree
-from nested_sinkhorn import (cost_matrix, flat_nested_lp, parse_tree, serialize_tree,
-                             wasserstein_distance)
+from nested_sinkhorn import (cost_matrix, flat_nested_lp, nested_sinkhorn, parse_tree,
+                             serialize_tree, wasserstein_distance)
 from nested_sinkhorn import cli
 from nested_sinkhorn.cli import RunConfig, main, run
 
@@ -149,9 +149,14 @@ class TestOutputs:
         path_a, path_b = write_pair(tmp_path, pair)
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
                      "--lambda", "5", "--output", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
+        doc = json.loads(capsys.readouterr().out)
+        rows = doc["rows"]
         assert len(rows) == 9
         assert all(row["passed"] is True for row in rows)
+        # the stats of the run the equivalence and martingale rows check
+        res = nested_sinkhorn(*pair, 1.0, 5.0)
+        assert [stage["newton"] for stage in doc["stats"]] == [s.newton for s in res.stats]
+        assert sum(stage["iterations"] for stage in doc["stats"]) == res.total_iterations
 
     def test_nested_sinkhorn_json_stats(self, tmp_path, capsys):
         pair = height3_pair()
@@ -162,6 +167,8 @@ class TestOutputs:
         row, stats = doc["rows"][0], doc["stats"]
         assert [stage["stage"] for stage in stats] == [0, 1, 2]
         assert sum(stage["iterations"] for stage in stats) == row["iterations"]
+        newton = [stage.newton for stage in nested_sinkhorn(*pair, 1.0, 10.0).stats]
+        assert [stage["newton"] for stage in stats] == newton and sum(newton) > 0
         assert ";".join(str(stage["subproblems"]) for stage in stats) == row["stage_subproblems"]
         assert stats[2]["shapes"] == [[2, 2], [2, 3]]
         # the CSV report keeps its columns

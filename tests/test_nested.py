@@ -26,10 +26,12 @@ from nested_sinkhorn import (
     nested_exact,
     nested_sinkhorn,
     sinkhorn_auto,
+    solve_transport_lp,
     trajectories,
     verify_entropic_equivalence,
     wasserstein_distance,
 )
+from nested_sinkhorn.nested import _lp_group
 
 
 class TestNestedExact:
@@ -114,6 +116,23 @@ class TestNestedExact:
         single = path_tree([1.0])
         with pytest.raises(ValueError, match="height"):
             nested_exact(single, single, 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 1), (1, 1)])
+    def test_single_child_groups_match_the_simplex(self, shape):
+        # a group with one row or one column is solved in closed form
+        rng = np.random.default_rng(sum(shape))
+        B, (m, n) = 6, shape
+        P = rng.dirichlet(np.ones(m), size=B)
+        Q = rng.dirichlet(np.ones(n), size=B)
+        C = rng.normal(0.0, 3.0, size=(B, m, n))
+        batch = _lp_group(P, Q, C)
+        for k in range(B):
+            lp = solve_transport_lp(P[k], Q[k], C[k])
+            assert batch.plan[k] == pytest.approx(lp.plan.matrix, rel=0, abs=1e-15)
+            assert batch.de_s[k] == pytest.approx(lp.value, rel=1e-14, abs=1e-14)
+            assert batch.dual_row[k] == pytest.approx(lp.dual_row, rel=0, abs=1e-14)
+            assert batch.dual_col[k] == pytest.approx(lp.dual_col, rel=0, abs=1e-14)
+        assert batch.converged.all() and not batch.iterations.any() and not batch.newton.any()
 
 
 class TestFlatNestedLp:

@@ -17,7 +17,8 @@ from nested_sinkhorn import (
     sinkhorn_stabilized,
     solve_transport_lp,
 )
-from nested_sinkhorn.sinkhorn import _finalize, _single, _sinkhorn_batch, _validate_inputs
+from nested_sinkhorn.sinkhorn import (_SWEEP_BLOCK, _finalize, _single, _sinkhorn_batch,
+                                     _validate_inputs)
 
 # the package exports the function ``sinkhorn``, which hides the module of that name
 sinkhorn_module = importlib.import_module("nested_sinkhorn.sinkhorn")
@@ -193,6 +194,58 @@ def log_domain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     return _single(batch, p, q, lam)
 
 
+REFERENCE_TOL = 1e-13
+
+
+def assert_newton_contract(p, q, cost, lam, tol, plan, de_s, dual_row, dual_col,
+                           marginal_error):
+    """The contract of a problem still unconverged after the first sweep
+    block, which Newton steps (and maybe more sweeps) finish: its marginal
+    error is at most ``tol``, and its value, plan and duals lie within twice
+    the first-order perturbation bounds of the fixed point that
+    ``log_domain_reference`` reaches at :data:`REFERENCE_TOL`.
+
+    A Gibbs-form plan with marginal residuals ``e`` has log potentials
+    ``H^+ e`` away from the fixed point, where ``H`` is the dual Hessian, so
+    at most ``|e|_2 / gap`` away with ``gap`` its smallest nonzero
+    eigenvalue.  Its entropic objective is the optimum for its own
+    marginals, which is convex in them with the multipliers as gradient, so
+    it is off by at most ``|e|_1`` times half the spread of the multipliers.
+    The reference's tolerance grows with max |lam * cost| beyond 1e3, where
+    the round-off of the log-sum-exp sweeps keeps it from reaching 1e-13.
+    """
+    assert marginal_error <= tol
+    ref_tol = REFERENCE_TOL * max(1.0, float(np.abs(lam * cost).max()) / 1e3)
+    ref = log_domain_reference(p, q, cost, lam, ref_tol, 200_000)
+    assert ref.converged
+    x = ref.plan.matrix
+    m, n = x.shape
+    hessian = np.block([[np.diag(x.sum(axis=1)), x], [x.T, np.diag(x.sum(axis=0))]])
+    gap = np.linalg.eigvalsh(hessian)[1]
+    shift = 2.0 * math.sqrt(m + n) * (tol + ref_tol) / gap
+    duals = dual_from_scalings(ref)
+    spread = max(np.ptp(duals.beta), np.ptp(duals.gamma))
+    assert abs(de_s - ref.de_s) <= (m + n) * (tol + ref_tol) * spread
+    # an entry moves with one row and one column potential
+    assert np.abs(plan - x).max() <= math.expm1(2.0 * shift) * x.max()
+    # the gauge (largest row potential zero) moves the duals by up to the shift again
+    assert np.abs(dual_row - duals.beta).max() <= 2.0 * shift / lam
+    assert np.abs(dual_col - duals.gamma).max() <= 2.0 * shift / lam
+
+
+def assert_same_as_alone(batch, k, alone, atol):
+    """Problem ``k`` of a stack got the result ``alone``, its solve at B=1."""
+    duals = dual_from_scalings(alone)
+    assert batch.iterations[k] == alone.iterations
+    assert batch.newton[k] == alone.newton
+    assert batch.converged[k] == alone.converged
+    assert batch.stabilized[k] == alone.stabilized
+    assert batch.plan[k] == pytest.approx(alone.plan.matrix, rel=0, abs=atol)
+    assert batch.de_s[k] == pytest.approx(alone.de_s, rel=0, abs=atol)
+    assert batch.dual_row[k] == pytest.approx(duals.beta, rel=0, abs=atol)
+    assert batch.dual_col[k] == pytest.approx(duals.gamma, rel=0, abs=atol)
+
+
 def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """The multiplicative iteration as a flat loop, without underflow
     guards.  ``sinkhorn`` and the batched plain loop must reproduce its
@@ -234,26 +287,37 @@ class TestPlainIteration:
 
     @pytest.mark.parametrize("max_iter", [1, 3, 100_000])
     def test_flat_and_batched_paths(self, max_iter):
+        # sinkhorn always follows the reference; sinkhorn_auto and the batch
+        # follow it on the problems that converge within the first sweep
+        # block, and the Newton contract holds for the others
         rng = np.random.default_rng(10)
         lam, tol = 8.0, 1e-10  # max |lam * cost| stays below 24
         problems = [(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(5)),
                      rng.uniform(0.0, 3.0, size=(4, 5))) for _ in range(5)]
         refs = [plain_reference(p, q, cost, lam, tol, max_iter) for p, q, cost in problems]
-        for (p, q, cost), ref in zip(problems, refs):
-            for res in (sinkhorn(p, q, cost, lam, tol, max_iter),
-                        sinkhorn_auto(p, q, cost, lam, tol, max_iter)):
-                assert not res.stabilized
-                self.assert_same(ref, res.plan.matrix, res.log_scaling_row, res.log_scaling_col,
-                                 res.iterations, res.converged)
         batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol, max_iter)
         assert not batch.stabilized.any()
-        for k, ref in enumerate(refs):
-            self.assert_same(ref, batch.plan[k], batch.log_scaling_row[k],
-                             batch.log_scaling_col[k], batch.iterations[k], batch.converged[k])
+        for k, ((p, q, cost), ref) in enumerate(zip(problems, refs)):
+            flat = sinkhorn(p, q, cost, lam, tol, max_iter)
+            self.assert_same(ref, flat.plan.matrix, flat.log_scaling_row, flat.log_scaling_col,
+                             flat.iterations, flat.converged)
+            auto = sinkhorn_auto(p, q, cost, lam, tol, max_iter)
+            assert not flat.stabilized and not auto.stabilized
+            assert_same_as_alone(batch, k, auto, 1e-12)
+            if ref.iterations <= _SWEEP_BLOCK:
+                assert auto.newton == 0
+                self.assert_same(ref, auto.plan.matrix, auto.log_scaling_row,
+                                 auto.log_scaling_col, auto.iterations, auto.converged)
+            else:
+                duals = dual_from_scalings(auto)
+                assert_newton_contract(p, q, cost, lam, tol, auto.plan.matrix, auto.de_s,
+                                       duals.beta, duals.gamma, auto.marginal_error)
         if max_iter > 3:
-            # every problem leaves the stack on its own sweep
+            # every problem leaves the stack on its own sweep, and both
+            # kinds of problem are in it
             assert len({ref.iterations for ref in refs}) == len(refs)
             assert all(ref.converged for ref in refs)
+            assert 0 < sum(ref.iterations > _SWEEP_BLOCK for ref in refs) < len(refs)
 
 
 def signed_instance(rng, m, n, magnitude):
@@ -326,8 +390,10 @@ class TestAbsorbedIteration:
 
     def test_stacked_problems(self, monkeypatch):
         # one stack at max |lam * cost| = 1e3, 1e4 and 1e5: the problems
-        # repair different numbers of sweeps, the first two converge on
-        # different sweeps and the third is cut off by max_iter
+        # repair different numbers of sweeps; Newton steps finish the first
+        # two, and the third, whose weak couplings underflow, is cut off by
+        # max_iter.  The stack does each problem's log-sum-exp work exactly
+        # as the problem alone does it
         rng = np.random.default_rng(27)
         problems = []
         for magnitude in (1e3, 1e4, 1e5):
@@ -347,24 +413,27 @@ class TestAbsorbedIteration:
             sweeps.clear()
             sinkhorn_stabilized(p, q, cost, lam, tol, max_iter)
             repairs.append(sum(sweeps) // 2 - 1)
+        assert len(set(repairs)) == len(problems)
+        work = 0
+        singles = []
+        for p, q, cost in problems:
+            sweeps.clear()
+            singles.append(sinkhorn_auto(p, q, cost, lam, tol, max_iter))
+            work += sum(sweeps)
         sweeps.clear()
         batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol, max_iter)
-        assert len(set(repairs)) == len(problems)
-        assert sum(sweeps) // 2 == len(problems) + sum(repairs)
+        assert sum(sweeps) == work
         assert batch.stabilized.all()
-        refs = [log_domain_reference(p, q, cost, lam, tol, max_iter) for p, q, cost in problems]
-        for k, ((p, q, cost), ref) in enumerate(zip(problems, refs)):
-            assert batch.iterations[k] == ref.iterations
-            assert batch.converged[k] == ref.converged
+        for k, ((p, q, cost), alone) in enumerate(zip(problems, singles)):
             atol = 1e-12 * max(1.0, float(np.abs(lam * cost).max()))
-            assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=atol)
-            assert batch.log_scaling_row[k] == pytest.approx(ref.log_scaling_row, rel=0, abs=atol)
-            assert batch.log_scaling_col[k] == pytest.approx(ref.log_scaling_col, rel=0, abs=atol)
-            assert batch.de_s[k] == pytest.approx(ref.de_s, rel=0, abs=atol)
+            assert_same_as_alone(batch, k, alone, atol)
             assert batch.log_scaling_row[k].max() == 0.0
-        assert [ref.converged for ref in refs] == [True, True, False]
-        assert refs[0].iterations != refs[1].iterations
-        assert refs[2].iterations == max_iter
+            assert alone.iterations > _SWEEP_BLOCK and alone.newton > 0
+        assert batch.converged.tolist() == [True, True, False]
+        for k in range(2):
+            assert_newton_contract(*problems[k], lam, tol, batch.plan[k], batch.de_s[k],
+                                   batch.dual_row[k], batch.dual_col[k], batch.marginal_error[k])
+        assert batch.iterations[2] == max_iter
 
 
 class TestSinkhornBatch:
@@ -400,24 +469,20 @@ class TestSinkhornBatch:
         with pytest.raises(KernelUnderflowError):
             sinkhorn(p, q, C, lam=1.0)
         ref = sinkhorn_stabilized(p, q, C, lam=1.0)
-        ref_duals = dual_from_scalings(ref)
-        assert ref.converged
+        assert ref.converged and ref.iterations > _SWEEP_BLOCK
         auto = sinkhorn_auto(p, q, C, lam=1.0)
         duals = dual_from_scalings(auto)
-        assert auto.stabilized and auto.converged
-        assert auto.iterations == ref.iterations
-        assert auto.log_scaling_row == pytest.approx(ref.log_scaling_row, rel=1e-12)
-        assert duals.dual_value == pytest.approx(ref_duals.dual_value, rel=1e-12)
+        assert auto.stabilized and auto.converged and auto.newton > 0
+        # the log-domain sweeps need more than one sweep block, so Newton
+        # steps finish the problem
+        assert_newton_contract(p, q, C, 1.0, 1e-9, auto.plan.matrix, auto.de_s, duals.beta,
+                               duals.gamma, auto.marginal_error)
         # a mild second problem keeps the plain lockstep path in the batch
         batch = _sinkhorn_batch(np.stack([p, q]), np.stack([q, p]),
                                 np.stack([C, 1.0 - np.eye(3)]), lam=1.0)
         assert batch.stabilized.tolist() == [True, False]
         assert batch.converged.all()
-        assert batch.iterations[0] == ref.iterations
-        assert batch.plan[0] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
-        assert batch.de_s[0] == pytest.approx(ref.de_s, rel=1e-12)
-        assert batch.dual_row[0] == pytest.approx(ref_duals.beta, rel=1e-12)
-        assert batch.dual_col[0] == pytest.approx(ref_duals.gamma, rel=1e-12)
+        assert_same_as_alone(batch, 0, auto, 1e-12)
 
 
     def test_one_log_domain_call_per_stack(self, monkeypatch):
@@ -444,6 +509,69 @@ class TestSinkhornBatch:
             assert batch.iterations[k] == ref.iterations
             assert batch.converged[k] == ref.converged
             assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+
+
+class TestNewtonFinish:
+    def test_stalled_3x3(self):
+        # the root subproblem of a height-2 pair: the kernel's cross ratio
+        # of about exp(30) stalls the sweeps at a marginal error near 3e-7
+        p = q = np.full(3, 1.0 / 3.0)
+        cost = np.array([[0.780, 0.861, 4.0], [0.642, 0.723, 3.861], [3.780, 3.861, 1.0]])
+        assert not sinkhorn_stabilized(p, q, cost, 5.0, max_iter=5000).converged
+        res = sinkhorn_auto(p, q, cost, 5.0)
+        assert res.converged and res.newton > 0
+        report = bound_certificates(p, q, cost, 5.0, res, solve_transport_lp(p, q, cost))
+        assert report.all_passed, [c for c in report.checks if not c.passed]
+
+    def test_mixed_stack(self):
+        # near-block-diagonal 2x2 problems at lam 20: some converge within
+        # the first sweep block, some in the first Newton phase, and some
+        # sweep again after Newton gives up; each gets its result alone
+        rng = np.random.default_rng(0)
+        lam, tol = 20.0, 1e-9
+        problems = [(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2)),
+                     FLIP_COST + rng.uniform(0.0, 0.3, size=(2, 2))) for _ in range(16)]
+        batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol)
+        kinds = set()
+        for k, (p, q, cost) in enumerate(problems):
+            alone = sinkhorn_auto(p, q, cost, lam, tol)
+            assert_same_as_alone(batch, k, alone, 1e-12)
+            assert alone.converged and not alone.stabilized
+            if alone.iterations < _SWEEP_BLOCK:
+                kinds.add("swept")
+                ref = plain_reference(p, q, cost, lam, tol)
+                TestPlainIteration.assert_same(ref, alone.plan.matrix, alone.log_scaling_row,
+                                               alone.log_scaling_col, alone.iterations,
+                                               alone.converged)
+            else:
+                kinds.add("newton" if alone.iterations == _SWEEP_BLOCK else "resumed")
+                assert_newton_contract(p, q, cost, lam, tol, batch.plan[k], batch.de_s[k],
+                                       batch.dual_row[k], batch.dual_col[k],
+                                       batch.marginal_error[k])
+        assert kinds == {"swept", "newton", "resumed"}
+
+    def test_singular_newton_system(self, monkeypatch):
+        # where the kernel's off-diagonal entries underflow, the Newton
+        # weights vanish and the system is singular: it gets the
+        # least-squares step, and its stack mates the solve they get alone
+        singular = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            singular.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        res = sinkhorn_auto(np.array([0.3, 0.7]), np.array([0.7, 0.3]),
+                            np.array([[0.0, 1000.0], [1000.0, 0.0]]), lam=1.0)
+        assert singular and res.newton > 0 and res.converged
+        H = np.array([[[2.0, 1.0], [1.0, 3.0]], [[0.5, 0.5], [0.5, 0.5]]])
+        b = np.array([[1.0, -1.0], [0.25, -0.25]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, b[:, :, None])
+        x = sinkhorn_module._solve(H, b)
+        assert x[0] == pytest.approx(np.linalg.solve(H[0], b[0]), rel=0, abs=1e-15)
+        assert x[1] == pytest.approx(np.linalg.lstsq(H[1], b[1], rcond=None)[0], rel=0, abs=1e-15)
 
 
 class TestEntropy:
