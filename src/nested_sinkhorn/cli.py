@@ -84,13 +84,16 @@ def _write(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(config: RunConfig, header: Sequence[str], rows: list[dict],
-          extra: Optional[dict] = None) -> None:
-    """Write ``rows`` as CSV or JSON; ``extra`` adds top-level JSON keys."""
+def _emit(config: RunConfig, rows: list[dict], extra: Optional[dict] = None) -> None:
+    """Write ``rows`` as CSV or JSON; ``extra`` adds top-level JSON keys.
+
+    The CSV columns are the first row's keys, in their order.
+    """
     if config.output == "json":
         payload = {"command": config.command, "rows": rows, **(extra or {})}
         _write(config, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return
+    header = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -115,8 +118,7 @@ def _cmd_wasserstein(config: RunConfig) -> int:
     start = time.perf_counter()
     distance = wasserstein_distance(tree_a, tree_b, config.r)
     elapsed = time.perf_counter() - start
-    _emit(config, ["distance", "r", "wall_time_s"],
-          [{"distance": distance, "r": config.r, "wall_time_s": elapsed}])
+    _emit(config, [{"distance": distance, "r": config.r, "wall_time_s": elapsed}])
     return 0
 
 
@@ -129,8 +131,6 @@ def _cmd_sinkhorn(config: RunConfig) -> int:
     elapsed = time.perf_counter() - start
     _emit(
         config,
-        ["d_s", "de_s", "entropy", "lambda", "r", "iterations", "marginal_error",
-         "converged", "wall_time_s"],
         [{
             "d_s": res.d_s,
             "de_s": res.de_s,
@@ -151,8 +151,8 @@ def _cmd_nested(config: RunConfig) -> int:
     start = time.perf_counter()
     res = nested_exact(tree_a, tree_b, config.r)
     elapsed = time.perf_counter() - start
-    _emit(config, ["nd", "r", "stages", "wall_time_s"],
-          [{"nd": res.value, "r": config.r, "stages": tree_a.height, "wall_time_s": elapsed}])
+    _emit(config, [{"nd": res.value, "r": config.r, "stages": tree_a.height,
+                    "wall_time_s": elapsed}])
     return 0
 
 
@@ -165,8 +165,6 @@ def _cmd_nested_sinkhorn(config: RunConfig) -> int:
     subproblems = ";".join(str(len(table)) for table in res.stage_tables)
     _emit(
         config,
-        ["nd_s", "nde_s", "entropy", "lambda", "r", "stages", "stage_subproblems",
-         "iterations", "converged", "wall_time_s"],
         [{
             "nd_s": res.value,
             "nde_s": res.value_with_entropy,
@@ -191,8 +189,6 @@ def _cmd_sweep(config: RunConfig) -> int:
                         max_iter=config.max_iter)
     _emit(
         config,
-        ["lambda", "nd_s", "nde_s", "nd_w", "wall_time_exact_s", "wall_time_sinkhorn_s",
-         "iterations", "converged"],
         [{
             "lambda": row.lam,
             "nd_s": row.nd_s,
@@ -208,38 +204,29 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    """Check the bounds, the flat equivalence and the martingale property on
+    one regularized run: the bound report's, at its tight tolerance."""
     tree_a, tree_b = _load_pair(config)
-    rows: list[dict] = []
-
     bounds = nested_bound_report(tree_a, tree_b, config.r, config.lam)
-    for check in bounds.checks:
-        rows.append({"report": "bounds", "check": check.name, "passed": check.passed,
-                     "value": check.slack})
-
-    sink = nested_sinkhorn(tree_a, tree_b, config.r, config.lam, tol=config.tol,
-                           max_iter=config.max_iter)
+    sink = bounds.regularized
+    checks = [("bounds", check.name, check.passed, check.slack) for check in bounds.checks]
     if sink.converged:
-        equivalence = verify_entropic_equivalence(tree_a, tree_b, config.r, config.lam, sink)
-        rows.append({"report": "equivalence", "check": "conditional marginal feasibility",
-                     "passed": equivalence.feasibility_ok,
-                     "value": equivalence.max_marginal_residual})
-        rows.append({"report": "equivalence", "check": "flat objective equality",
-                     "passed": equivalence.objective_ok, "value": equivalence.objective_gap})
-        rows.append({"report": "equivalence", "check": "stagewise Gibbs decomposition",
-                     "passed": equivalence.gibbs_ok, "value": equivalence.max_gibbs_residual})
-        martingale = martingale_check(sink)
-        rows.append({"report": "martingale", "check": "martingale residual",
-                     "passed": martingale.max_martingale_residual <= martingale.residual_tol,
-                     "value": martingale.max_martingale_residual})
-        rows.append({"report": "martingale", "check": "projection residual",
-                     "passed": martingale.max_projection_residual <= martingale.projection_tol,
-                     "value": martingale.max_projection_residual})
+        eq = verify_entropic_equivalence(tree_a, tree_b, config.r, config.lam, sink)
+        mart = martingale_check(sink)
+        checks += [
+            ("equivalence", "conditional marginal feasibility", eq.feasibility_ok,
+             eq.max_marginal_residual),
+            ("equivalence", "flat objective equality", eq.objective_ok, eq.objective_gap),
+            ("equivalence", "stagewise Gibbs decomposition", eq.gibbs_ok, eq.max_gibbs_residual),
+            ("martingale", "martingale residual", mart.martingale_ok,
+             mart.max_martingale_residual),
+            ("martingale", "projection residual", mart.projection_ok,
+             mart.max_projection_residual),
+        ]
     else:
-        rows.append({"report": "equivalence", "check": "converged", "passed": False,
-                     "value": float(sink.total_iterations)})
-
-    _emit(config, ["report", "check", "passed", "value"], rows,
-          {"stats": [asdict(stage) for stage in sink.stats]})
+        checks.append(("equivalence", "converged", False, float(sink.total_iterations)))
+    rows = [dict(zip(("report", "check", "passed", "value"), check)) for check in checks]
+    _emit(config, rows, {"stats": [asdict(stage) for stage in sink.stats]})
     return 0 if all(row["passed"] for row in rows) else 1
 
 
@@ -252,8 +239,9 @@ def _cmd_gen(config: RunConfig) -> int:
 
 
 def _cmd_bench(config: RunConfig) -> int:
+    if config.max_stages < 1:
+        raise ValueError("bench needs --max-stages >= 1")
     rows = []
-    all_converged = True
     for stages in range(1, config.max_stages + 1):
         if stages + 1 > len(config.branching_a) or stages + 1 > len(config.branching_b):
             raise ValueError(
@@ -270,7 +258,6 @@ def _cmd_bench(config: RunConfig) -> int:
         sink = nested_sinkhorn(tree_a, tree_b, config.r, config.lam, tol=config.tol,
                                max_iter=config.max_iter)
         sinkhorn_time = time.perf_counter() - start
-        all_converged = all_converged and sink.converged
         rows.append({
             "stages": stages,
             "leaves_a": tree_a.n_leaves,
@@ -284,13 +271,8 @@ def _cmd_bench(config: RunConfig) -> int:
             "wall_time_sinkhorn_s": sinkhorn_time,
             "acceleration": exact_time / sinkhorn_time if sinkhorn_time > 0 else float("inf"),
         })
-    _emit(
-        config,
-        ["stages", "leaves_a", "leaves_b", "nd_w", "nd_s", "nde_s", "difference",
-         "converged", "wall_time_exact_s", "wall_time_sinkhorn_s", "acceleration"],
-        rows,
-    )
-    return 0 if all_converged else 1
+    _emit(config, rows)
+    return 0 if all(row["converged"] for row in rows) else 1
 
 
 _COMMANDS = {
@@ -318,18 +300,15 @@ def run(config: RunConfig) -> int:
         return 2
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+def _list_of(kind: type):
+    """Argument type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip() != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from exc
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,44 +318,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    trees = argparse.ArgumentParser(add_help=False)
-    trees.add_argument("--tree-a", required=True, help="path to the first tree file (JSON)")
-    trees.add_argument("--tree-b", required=True, help="path to the second tree file (JSON)")
-
     # an option left off the command line stays out of the namespace, so the
     # defaults of RunConfig apply
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--r", type=float, help="cost order r >= 1 (default 1)")
-    common.add_argument("--tol", type=float, help="marginal stopping tolerance (default 1e-9)")
-    common.add_argument("--max-iter", type=int,
-                        help="iteration cap per scaling subproblem (default 100000)")
-    common.add_argument("--output", choices=("csv", "json"), help="report format (default csv)")
-    common.add_argument("--out", help="write the report to a file instead of stdout")
+    def options():
+        return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
 
-    reg = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    trees = options()
+    trees.add_argument("--tree-a", required=True, help="path to the first tree file (JSON)")
+    trees.add_argument("--tree-b", required=True, help="path to the second tree file (JSON)")
+    out = options()
+    out.add_argument("--out", help="write the output to a file instead of stdout")
+    report = options()
+    report.add_argument("--r", type=float, help="cost order r >= 1 (default 1)")
+    report.add_argument("--output", choices=("csv", "json"), help="report format (default csv)")
+    scaling = options()
+    scaling.add_argument("--tol", type=float, help="marginal stopping tolerance (default 1e-9)")
+    scaling.add_argument("--max-iter", type=int,
+                         help="iteration cap per scaling subproblem (default 100000)")
+    reg = options()
     reg.add_argument("--lambda", dest="lam", type=float,
                      help="regularization parameter (default 20)")
 
     def command(name, parents, text):
-        return sub.add_parser(name, parents=parents, help=text, argument_default=argparse.SUPPRESS)
+        return sub.add_parser(name, parents=parents + [out], help=text,
+                              argument_default=argparse.SUPPRESS)
 
-    command("wasserstein", [trees, common], "flat transport distance between the leaf measures")
-    command("sinkhorn", [trees, common, reg], "regularized flat transport on the leaf measures")
-    command("nested", [trees, common], "exact nested distance")
-    command("nested-sinkhorn", [trees, common, reg], "regularized nested divergence")
-    sweep = command("sweep", [trees, common], "regularized nested values over a lambda grid")
-    sweep.add_argument("--lambdas", type=_float_list,
+    command("wasserstein", [trees, report], "flat transport distance between the leaf measures")
+    command("sinkhorn", [trees, report, reg, scaling],
+            "regularized flat transport on the leaf measures")
+    command("nested", [trees, report], "exact nested distance")
+    command("nested-sinkhorn", [trees, report, reg, scaling], "regularized nested divergence")
+    sweep = command("sweep", [trees, report, scaling],
+                    "regularized nested values over a lambda grid")
+    sweep.add_argument("--lambdas", type=_list_of(float),
                        help="comma-separated grid (default 0.5,1,2,...,30)")
-    command("verify", [trees, common, reg], "run every verification report on a tree pair")
-    gen = command("gen", [common], "generate a random tree file")
-    gen.add_argument("--branching", type=_int_list, required=True,
+    command("verify", [trees, report, reg],
+            "run every verification report on one tight regularized run")
+    gen = command("gen", [], "generate a random tree file")
+    gen.add_argument("--branching", type=_list_of(int), required=True,
                      help="per-stage branching factors, e.g. 1,2,3")
     gen.add_argument("--seed", type=int, help="generator seed (default 0)")
-    bench = command("bench", [common, reg],
+    bench = command("bench", [report, reg, scaling],
                     "exact-vs-regularized benchmark over growing stage counts")
-    bench.add_argument("--branching-a", type=_int_list,
+    bench.add_argument("--branching-a", type=_list_of(int),
                        help="branching of the first tree family (default 1,2,3,2,3,4)")
-    bench.add_argument("--branching-b", type=_int_list,
+    bench.add_argument("--branching-b", type=_list_of(int),
                        help="branching of the second tree family (default 1,2,2,1,3,2)")
     bench.add_argument("--max-stages", type=int,
                        help="largest stage count to benchmark (default 5)")

@@ -54,6 +54,13 @@ __all__ = [
 # regularization grid used by the convergence experiments
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = (0.5,) + tuple(float(k) for k in range(1, 31))
 
+# thresholds of the verification reports on a converged regularized run
+MARGINAL_TOL = 1e-7     # flat conditional-marginal residual of the composed plan
+OBJECTIVE_TOL = 1e-7    # flat entropic objective against the recursion's root value
+GIBBS_TOL = 1e-6        # composed plan against its stagewise Gibbs reconstruction (logs)
+MARTINGALE_TOL = 1e-6   # conditional mean of the dual process against its current value
+PROJECTION_TOL = 1e-8   # conditional means of the translated multipliers
+
 
 @dataclass
 class ConditionalSolution:
@@ -482,10 +489,9 @@ class EquivalenceReport:
 
 
 def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
-                                lam: float, result: NestedResult, *,
-                                marginal_tol: float = 1e-7, objective_tol: float = 1e-7,
-                                gibbs_tol: float = 1e-6) -> EquivalenceReport:
-    """Check a converged regularized result against the flat formulation."""
+                                lam: float, result: NestedResult) -> EquivalenceReport:
+    """Check a converged regularized result against the flat formulation, to
+    :data:`MARGINAL_TOL`, :data:`OBJECTIVE_TOL` and :data:`GIBBS_TOL`."""
     if result.method != "sinkhorn":
         raise ValueError("equivalence verification needs a regularized nested result")
     if not result.converged:
@@ -520,9 +526,9 @@ def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: f
     max_gibbs = float(np.abs(recon - log_composed).max()) if vanished_ok else math.inf
 
     # plain bools and floats, so the report serializes as JSON
-    feas_ok = bool(max_residual <= marginal_tol)
-    obj_ok = bool(objective_gap <= objective_tol)
-    gibbs_ok = bool(max_gibbs <= gibbs_tol)
+    feas_ok = bool(max_residual <= MARGINAL_TOL)
+    obj_ok = bool(objective_gap <= OBJECTIVE_TOL)
+    gibbs_ok = bool(max_gibbs <= GIBBS_TOL)
     return EquivalenceReport(
         max_marginal_residual=max_residual,
         flat_objective=flat_objective,
@@ -538,7 +544,8 @@ def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: f
 
 @dataclass
 class NestedBoundReport:
-    """Sandwich and gap bounds for the regularized nested divergence."""
+    """Sandwich and gap bounds for the regularized nested divergence;
+    ``regularized`` is the run they were checked on."""
 
     nd_w_pow: float
     nd_s_pow: float
@@ -555,6 +562,7 @@ class NestedBoundReport:
     lam: float
     r: float
     converged: bool
+    regularized: NestedResult
     checks: list[CheckResult] = field(default_factory=list)
     all_passed: bool = True
 
@@ -608,6 +616,7 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
         lam=lam,
         r=r,
         converged=sink.converged,
+        regularized=sink,
         checks=checks,
         all_passed=sink.converged and all(c.passed for c in checks),
     )
@@ -621,13 +630,12 @@ class MartingaleReport:
     m0: float
     max_martingale_residual: float
     max_projection_residual: float
-    residual_tol: float
-    projection_tol: float
+    martingale_ok: bool
+    projection_ok: bool
     passed: bool
 
 
-def martingale_check(result: NestedResult, *, residual_tol: float = 1e-6,
-                     projection_tol: float = 1e-8) -> MartingaleReport:
+def martingale_check(result: NestedResult) -> MartingaleReport:
     """Verify the dual process of a converged regularized result.
 
     At every node pair the row and column multipliers are translated to
@@ -635,7 +643,7 @@ def martingale_check(result: NestedResult, *, residual_tol: float = 1e-6,
     started at ``M_0 = -(E beta + E gamma)`` (root pair) and incremented by
     the translated multipliers must satisfy ``E[M_{t+1} | pair] = M_t``
     under the conditional plans, and the translations themselves must
-    project to zero.
+    project to zero, up to :data:`MARTINGALE_TOL` and :data:`PROJECTION_TOL`.
     """
     if result.method != "sinkhorn":
         raise ValueError("martingale check needs a regularized nested result with multipliers")
@@ -667,13 +675,15 @@ def martingale_check(result: NestedResult, *, residual_tol: float = 1e-6,
         mass = _group_sum(_group_sum(table.plan, parent_a, 0), parent_b, 1)
         max_resid = max(max_resid, float(np.abs(weighted / mass - here).max()))
         here = increments
+    martingale_ok = bool(max_resid <= MARTINGALE_TOL)
+    projection_ok = bool(max_proj <= PROJECTION_TOL)
     return MartingaleReport(
         m0=m0,
         max_martingale_residual=max_resid,
         max_projection_residual=max_proj,
-        residual_tol=residual_tol,
-        projection_tol=projection_tol,
-        passed=bool(max_resid <= residual_tol and max_proj <= projection_tol),
+        martingale_ok=martingale_ok,
+        projection_ok=projection_ok,
+        passed=martingale_ok and projection_ok,
     )
 
 

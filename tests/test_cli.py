@@ -1,14 +1,15 @@
 """Command dispatch, output formats, determinism, and exit codes."""
 
+import argparse
 import json
 import math
 
 import pytest
 
 from conftest import height3_pair, split_timing_pair, underflow_tree
-from nested_sinkhorn import (cost_matrix, flat_nested_lp, nested_sinkhorn, parse_tree,
-                             serialize_tree, wasserstein_distance)
-from nested_sinkhorn import cli
+from nested_sinkhorn import (cost_matrix, flat_nested_lp, generate_random_tree,
+                             nested_sinkhorn, parse_tree, serialize_tree, wasserstein_distance)
+from nested_sinkhorn import cli, nested
 from nested_sinkhorn.cli import RunConfig, main, run
 
 TIMING_COLUMNS = {"wall_time_s", "wall_time_exact_s", "wall_time_sinkhorn_s", "acceleration"}
@@ -104,6 +105,35 @@ class TestCommands:
         assert len(rows) == 9
         assert all(row["passed"] == "true" for row in rows)
 
+    def test_verify_solves_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("nested_exact", "nested_sinkhorn"):
+            wrapped = counted(getattr(nested, name))
+            monkeypatch.setattr(nested, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped)
+        path_a, path_b = write_pair(tmp_path, height3_pair())
+        assert main(["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]) == 0
+        assert sorted(calls) == ["nested_exact", "nested_sinkhorn"]
+
+    def test_verify_fails_on_unconverged_run(self, tmp_path, capsys):
+        # the bench seed-0 stage-3 pair: at lambda 1000 round-off keeps some
+        # subproblem above tol 1e-12, while every bound row still passes
+        pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
+        path_a, path_b = write_pair(tmp_path, pair)
+        assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
+                     "--lambda", "1000"]) == 1
+        _, rows = csv_rows(capsys.readouterr().out)
+        assert [row["report"] for row in rows] == ["bounds"] * 4 + ["equivalence"]
+        assert all(row["passed"] == "true" for row in rows[:4])
+        assert rows[-1]["check"] == "converged" and rows[-1]["passed"] == "false"
+
     def test_gen_writes_tree(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
         assert main(["gen", "--branching", "1,2,3,2,3,4", "--seed", "7",
@@ -153,8 +183,8 @@ class TestOutputs:
         rows = doc["rows"]
         assert len(rows) == 9
         assert all(row["passed"] is True for row in rows)
-        # the stats of the run the equivalence and martingale rows check
-        res = nested_sinkhorn(*pair, 1.0, 5.0)
+        # the stats of the one run every row checks: the bound report's
+        res = nested_sinkhorn(*pair, 1.0, 5.0, tol=1e-12, max_iter=200_000)
         assert [stage["newton"] for stage in doc["stats"]] == [s.newton for s in res.stats]
         assert sum(stage["iterations"] for stage in doc["stats"]) == res.total_iterations
 
@@ -237,6 +267,24 @@ class TestExitCodes:
         _, rows = csv_rows(capsys.readouterr().out)
         assert rows[0]["converged"] == "false"
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ("wasserstein", "nested", "verify")
+        for flag in ("--tol", "--max-iter")
+    ] + [("gen", flag) for flag in ("--r", "--tol", "--max-iter", "--output")])
+    def test_removed_flag_is_status_two(self, tmp_path, capsys, command, flag):
+        value = "csv" if flag == "--output" else "1"
+        path_a, path_b = write_pair(tmp_path, split_timing_pair(0.1))
+        args = (["--branching", "1,2"] if command == "gen"
+                else ["--tree-a", path_a, "--tree-b", path_b])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_empty_bench_is_status_two(self, capsys):
+        assert main(["bench", "--max-stages", "0"]) == 2
+        assert "--max-stages >= 1" in capsys.readouterr().err
+
     def test_unknown_command(self):
         config = RunConfig(command="nope")
         assert run(config) == 2
@@ -262,3 +310,31 @@ def test_omitted_options_take_run_config_defaults(monkeypatch):
         RunConfig(command="sinkhorn", tree_a="a.json", tree_b="b.json", lam=3.0),
         RunConfig(command="gen", branching=(1, 2)),
     ]
+
+
+# every option each command accepts; a flag no handler reads must not be listed
+ACCEPTED_OPTIONS = {
+    "wasserstein": {"--tree-a", "--tree-b", "--r", "--output", "--out"},
+    "sinkhorn": {"--tree-a", "--tree-b", "--r", "--output", "--out", "--lambda", "--tol",
+                 "--max-iter"},
+    "nested": {"--tree-a", "--tree-b", "--r", "--output", "--out"},
+    "nested-sinkhorn": {"--tree-a", "--tree-b", "--r", "--output", "--out", "--lambda",
+                        "--tol", "--max-iter"},
+    "sweep": {"--tree-a", "--tree-b", "--r", "--output", "--out", "--lambdas", "--tol",
+              "--max-iter"},
+    "verify": {"--tree-a", "--tree-b", "--r", "--output", "--out", "--lambda"},
+    "gen": {"--branching", "--seed", "--out"},
+    "bench": {"--r", "--output", "--out", "--lambda", "--tol", "--max-iter", "--branching-a",
+              "--branching-b", "--max-stages", "--seed"},
+}
+
+
+def test_each_command_accepts_exactly_its_options():
+    parser = cli._build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    accepted = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert accepted == ACCEPTED_OPTIONS
