@@ -211,7 +211,7 @@ def _cmd_verify(config: RunConfig) -> int:
     sink = bounds.regularized
     checks = [("bounds", check.name, check.passed, check.slack) for check in bounds.checks]
     if sink.converged:
-        eq = verify_entropic_equivalence(tree_a, tree_b, config.r, config.lam, sink)
+        eq = verify_entropic_equivalence(sink)
         mart = martingale_check(sink)
         checks += [
             ("equivalence", "conditional marginal feasibility", eq.feasibility_ok,
@@ -251,25 +251,21 @@ def _cmd_bench(config: RunConfig) -> int:
                                       config.seed + 17 * stages + 1)
         tree_b = generate_random_tree(config.branching_b[: stages + 1],
                                       config.seed + 17 * stages + 2)
-        start = time.perf_counter()
-        exact = nested_exact(tree_a, tree_b, config.r)
-        exact_time = time.perf_counter() - start
-        start = time.perf_counter()
-        sink = nested_sinkhorn(tree_a, tree_b, config.r, config.lam, tol=config.tol,
-                               max_iter=config.max_iter)
-        sinkhorn_time = time.perf_counter() - start
+        row = lambda_sweep(tree_a, tree_b, config.r, [config.lam], config.tol,
+                           config.max_iter)[0]
         rows.append({
             "stages": stages,
             "leaves_a": tree_a.n_leaves,
             "leaves_b": tree_b.n_leaves,
-            "nd_w": exact.value,
-            "nd_s": sink.value,
-            "nde_s": sink.value_with_entropy,
-            "difference": exact.value - sink.value_with_entropy,
-            "converged": sink.converged,
-            "wall_time_exact_s": exact_time,
-            "wall_time_sinkhorn_s": sinkhorn_time,
-            "acceleration": exact_time / sinkhorn_time if sinkhorn_time > 0 else float("inf"),
+            "nd_w": row.nd_w,
+            "nd_s": row.nd_s,
+            "nde_s": row.nde_s,
+            "difference": row.nd_w - row.nde_s,
+            "converged": row.converged,
+            "wall_time_exact_s": row.wall_time_exact_s,
+            "wall_time_sinkhorn_s": row.wall_time_sinkhorn_s,
+            "acceleration": (row.wall_time_exact_s / row.wall_time_sinkhorn_s
+                             if row.wall_time_sinkhorn_s > 0 else float("inf")),
         })
     _emit(config, rows)
     return 0 if all(row["converged"] for row in rows) else 1

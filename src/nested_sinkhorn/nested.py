@@ -21,7 +21,6 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
 from .sinkhorn import (CheckResult, _BatchResult, _marginal_errors, _sinkhorn_batch,
-                       bounded_check, entropy)
+                       _stacked_entropy, bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
 __all__ = [
@@ -162,7 +161,8 @@ class NestedResult:
     coincide; for the regularized method ``value`` prices the composed plan
     against the leaf costs while ``value_with_entropy`` is the recursion's
     root value, which also subtracts ``total_entropy / lam``.  ``stats``
-    holds one :class:`StageStats` record per stage, in stage order.
+    holds one :class:`StageStats` record per stage, in stage order, and
+    ``leaf_cost`` the read-only leaf-pair cost matrix the recursion priced.
 
     ``stage_tables[t]`` is the :class:`StageTable` of stage ``t``, whose node
     pairs are the full product ``tree_a.stage(t) x tree_b.stage(t)``, so each
@@ -181,6 +181,7 @@ class NestedResult:
     value_pow: float
     value_with_entropy_pow: float
     stage_tables: list[StageTable]
+    leaf_cost: np.ndarray
     composed_plan: TransportPlan
     method: str
     lam: Optional[float]
@@ -310,10 +311,41 @@ def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray) -> _BatchResult:
         dual_col = np.array([lp.dual_col for lp in lps])
     sweeps = np.zeros(len(C), dtype=int)
     return _BatchResult(
-        plan=plan, d_s=value, entropy=np.array([entropy(x) for x in plan]), de_s=value,
+        plan=plan, d_s=value, entropy=_stacked_entropy(plan), de_s=value,
         dual_row=dual_row, dual_col=dual_col, iterations=sweeps,
         marginal_error=_marginal_errors(plan, P, Q), converged=sweeps == 0,
         stabilized=sweeps > 0, newton=sweeps,
+    )
+
+
+def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
+               solve_group: Callable[[np.ndarray, np.ndarray, np.ndarray], _BatchResult],
+               root_values: Callable[[np.ndarray, np.ndarray, float], tuple[float, float]],
+               method: str, lam: Optional[float]) -> NestedResult:
+    """The recursion of both methods, its stages solved by ``solve_group`` as
+    in :func:`_solve_stagewise`; ``root_values(composed, leaf_cost, root)``
+    gives ``value_pow`` and ``value_with_entropy_pow``."""
+    leaf_cost = cost_matrix(tree_a, tree_b, r)
+    leaf_cost.flags.writeable = False
+    _check_height(tree_a)
+    tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
+    composed = _compose(tree_a, tree_b, tables)
+    value_pow, root_pow = root_values(composed, leaf_cost, float(tables[0].value[0, 0]))
+    return NestedResult(
+        value=_signed_root(value_pow, r),
+        value_with_entropy=_signed_root(root_pow, r),
+        value_pow=value_pow,
+        value_with_entropy_pow=root_pow,
+        stage_tables=tables,
+        leaf_cost=leaf_cost,
+        composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
+                                    tree_b.leaf_probabilities),
+        method=method,
+        lam=lam,
+        total_entropy=entropy(composed),
+        converged=all(bool(table.converged.all()) for table in tables),
+        total_iterations=sum(stage.iterations for stage in stats),
+        stats=stats,
     )
 
 
@@ -325,27 +357,8 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
     distance.  The composed leaf-pair plan is optimal for the flat
     formulation with conditional-marginal constraints.
     """
-    leaf_cost = cost_matrix(tree_a, tree_b, r)
-    _check_height(tree_a)
-    tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, _lp_group)
-    composed = _compose(tree_a, tree_b, tables)
-    value_pow = max(float(tables[0].value[0, 0]), 0.0)
-    value = value_pow ** (1.0 / r)
-    return NestedResult(
-        value=value,
-        value_with_entropy=value,
-        value_pow=value_pow,
-        value_with_entropy_pow=value_pow,
-        stage_tables=tables,
-        composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
-                                    tree_b.leaf_probabilities),
-        method="exact",
-        lam=None,
-        total_entropy=entropy(composed),
-        converged=True,
-        total_iterations=0,
-        stats=stats,
-    )
+    return _recursion(tree_a, tree_b, r, _lp_group, lambda plan, cost, root: (max(root, 0.0),) * 2,
+                      "exact", None)
 
 
 def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
@@ -368,31 +381,10 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     times unconverged flags the whole result as unconverged instead of
     raising.
     """
-    leaf_cost = cost_matrix(tree_a, tree_b, r)
-    _check_height(tree_a)
-    if lam <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {lam}")
-    sub_tol = tol / tree_a.height
-    solve_group = partial(_sinkhorn_batch, lam=lam, tol=sub_tol, max_iter=max_iter)
-    tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
-    composed = _compose(tree_a, tree_b, tables)
-    value_pow = float((composed * leaf_cost).sum())
-    root_value = float(tables[0].value[0, 0])
-    return NestedResult(
-        value=_signed_root(value_pow, r),
-        value_with_entropy=_signed_root(root_value, r),
-        value_pow=value_pow,
-        value_with_entropy_pow=root_value,
-        stage_tables=tables,
-        composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
-                                    tree_b.leaf_probabilities),
-        method="sinkhorn",
-        lam=lam,
-        total_entropy=entropy(composed),
-        converged=all(bool(table.converged.all()) for table in tables),
-        total_iterations=sum(stage.iterations for stage in stats),
-        stats=stats,
-    )
+    # the solver reads tol / T once the driver has checked that T >= 1
+    return _recursion(tree_a, tree_b, r,
+                      lambda P, Q, C: _sinkhorn_batch(P, Q, C, lam, tol / tree_a.height, max_iter),
+                      lambda plan, cost, root: (float((plan * cost).sum()), root), "sinkhorn", lam)
 
 
 def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
@@ -488,18 +480,24 @@ class EquivalenceReport:
     passed: bool
 
 
-def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
-                                lam: float, result: NestedResult) -> EquivalenceReport:
-    """Check a converged regularized result against the flat formulation, to
-    :data:`MARGINAL_TOL`, :data:`OBJECTIVE_TOL` and :data:`GIBBS_TOL`."""
+def _check_reportable(result: NestedResult, report: str) -> None:
+    """Raise unless ``result`` is the converged regularized run ``report`` reads."""
     if result.method != "sinkhorn":
-        raise ValueError("equivalence verification needs a regularized nested result")
+        raise ValueError(f"{report} needs a regularized nested result")
     if not result.converged:
-        raise ValueError("equivalence verification needs a converged result")
+        raise ValueError(f"{report} needs a converged result")
+
+
+def verify_entropic_equivalence(result: NestedResult) -> EquivalenceReport:
+    """Check a converged regularized result against the flat formulation on
+    its own trees, leaf costs and ``lam``, to :data:`MARGINAL_TOL`,
+    :data:`OBJECTIVE_TOL` and :data:`GIBBS_TOL`."""
+    _check_reportable(result, "equivalence verification")
+    tables, lam, cost = result.stage_tables, result.lam, result.leaf_cost
+    tree_a, tree_b = tables[0].tree_a, tables[0].tree_b
     matrix = result.composed_plan.matrix
     max_residual = conditional_marginal_residuals(tree_a, tree_b, matrix)
 
-    cost = cost_matrix(tree_a, tree_b, r)
     log_matrix = np.log(np.where(matrix > 0.0, matrix, 1.0))
     flat_objective = float((matrix * cost).sum() + (matrix * log_matrix).sum() / lam)
     objective_gap = abs(flat_objective - result.value_with_entropy_pow)
@@ -509,7 +507,6 @@ def verify_entropic_equivalence(tree_a: ScenarioTree, tree_b: ScenarioTree, r: f
     # log of the composed coupling accumulated as a sum of stage-plan logs
     # (the entrywise product itself can underflow for large lam).  A stage
     # plan entry that underflowed to 0 is compared as exp of its exponent.
-    tables = result.stage_tables
     recon = np.zeros(matrix.shape)
     log_composed = np.zeros(matrix.shape)
     vanished_ok = True
@@ -645,10 +642,7 @@ def martingale_check(result: NestedResult) -> MartingaleReport:
     under the conditional plans, and the translations themselves must
     project to zero, up to :data:`MARTINGALE_TOL` and :data:`PROJECTION_TOL`.
     """
-    if result.method != "sinkhorn":
-        raise ValueError("martingale check needs a regularized nested result with multipliers")
-    if not result.converged:
-        raise ValueError("martingale check needs a converged result")
+    _check_reportable(result, "martingale check")
     tables = result.stage_tables
     index_a, index_b = tables[0].tree_a.stage_index, tables[0].tree_b.stage_index
     max_resid = 0.0

@@ -164,6 +164,16 @@ def entropy(plan) -> float:
     return float(-(x[positive] * np.log(x[positive])).sum())
 
 
+def _stacked_entropy(plan: np.ndarray, log_plan: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`entropy` of each plan in a stack ``[B, m, n]``, reading ``log_plan``
+    where given, which stays exact where a log-domain plan entry underflows."""
+    x = _unit_range(plan)
+    if log_plan is None:
+        log_plan = np.log(np.where(x > 0.0, x, 1.0))
+    with np.errstate(invalid="ignore"):
+        return -np.where(x > 0.0, x * log_plan, 0.0).sum(axis=(1, 2))
+
+
 def _validate_inputs(p, q, cost, lam, tol, max_iter):
     p = _as_marginal(p, "p")
     q = _as_marginal(q, "q")
@@ -217,11 +227,8 @@ def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarr
 def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
               stabilized, newton=None) -> _BatchResult:
     """Results of a stack of solved problems, in either form, from the plans,
-    the logs of their entries and the log scalings.  The entropy reads the
-    log entries, which stay exact where a log-domain plan entry underflows."""
-    x = _unit_range(plan)
-    with np.errstate(invalid="ignore"):
-        h = -np.where(x > 0.0, x * log_plan, 0.0).sum(axis=(1, 2))
+    the logs of their entries and the log scalings."""
+    h = _stacked_entropy(plan, log_plan)
     d_s = (plan * C).sum(axis=(1, 2))
     marginal_error = _marginal_errors(plan, P, Q)
     dual_row, dual_col = _scaling_duals(log_u, log_v, lam)
@@ -628,22 +635,22 @@ def dual_from_scalings(result: SinkhornResult) -> DualCertificate:
     return DualCertificate(beta=beta, gamma=gamma, dual_value=float(p @ beta + q @ gamma))
 
 
-def bound_certificates(p, q, cost, lam: float, sink: SinkhornResult,
-                       lp: LpSolution) -> BoundReport:
+def bound_certificates(cost, sink: SinkhornResult, lp: LpSolution) -> BoundReport:
     """Check the comparison inequalities between the regularized and exact
-    solutions of one instance.
+    solutions of one instance, whose marginals and ``lam`` ``sink`` carries.
 
     Verifies, each up to :data:`BOUND_SLACK`:
     the cost gap ``0 <= d_s - d_w <= (H_s - H_w) / lam``, the objective gap
     ``0 <= d_w - de_s <= H_s / lam``, and the entropy caps
-    ``H_s <= H(p q^T)`` and ``H_s <= log(n) + log(m)``.
+    ``H_s <= H(p q^T)`` and ``H_s <= log(n) + log(m)``.  Raises
+    ``ValueError`` where the cost and the solutions differ in shape, or the
+    solutions in marginals.
     """
-    p = _as_marginal(p, "p")
-    q = _as_marginal(q, "q")
-    C = np.asarray(cost, dtype=float)
-    if C.shape != (p.size, q.size) or sink.plan.matrix.shape != C.shape \
-            or lp.plan.matrix.shape != C.shape:
-        raise ValueError("instance dimensions do not match between the two solutions")
+    p, q, lam = sink.plan.row_marginal, sink.plan.col_marginal, sink.lam
+    if not (np.shape(cost) == sink.plan.matrix.shape == lp.plan.matrix.shape
+            and np.array_equal(p, lp.plan.row_marginal)
+            and np.array_equal(q, lp.plan.col_marginal)):
+        raise ValueError("the regularized and exact solutions are not of one instance")
     h_s = sink.entropy
     h_w = entropy(lp.plan.matrix)
     d_w = lp.value

@@ -171,7 +171,7 @@ def test_criterion_07_recursion_flat_equivalence():
                 res = nested_sinkhorn(tree_a, tree_b, 1.0, lam, tol=1e-12,
                                       max_iter=200_000)
                 assert res.converged
-                report = verify_entropic_equivalence(tree_a, tree_b, 1.0, lam, res)
+                report = verify_entropic_equivalence(res)
                 assert report.max_marginal_residual <= 1e-7
                 assert report.objective_gap <= 1e-7
                 assert report.max_gibbs_residual <= 1e-6

@@ -122,6 +122,19 @@ class TestCommands:
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]) == 0
         assert sorted(calls) == ["nested_exact", "nested_sinkhorn"]
 
+    def test_verify_builds_the_leaf_cost_once_per_recursion(self, tmp_path, capsys, monkeypatch):
+        # the reports read the cost matrix off the regularized run
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cost_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(nested, "cost_matrix", counted)
+        path_a, path_b = write_pair(tmp_path, height3_pair())
+        assert main(["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]) == 0
+        assert len(calls) == 2
+
     def test_verify_fails_on_unconverged_run(self, tmp_path, capsys):
         # the bench seed-0 stage-3 pair: at lambda 1000 round-off keeps some
         # subproblem above tol 1e-12, while every bound row still passes

@@ -18,6 +18,7 @@ from nested_sinkhorn import (
     conditional_marginal_residuals,
     cost_matrix,
     dual_from_scalings,
+    entropy,
     flat_nested_lp,
     generate_random_tree,
     lambda_sweep,
@@ -133,6 +134,19 @@ class TestNestedExact:
             assert batch.dual_row[k] == pytest.approx(lp.dual_row, rel=0, abs=1e-14)
             assert batch.dual_col[k] == pytest.approx(lp.dual_col, rel=0, abs=1e-14)
         assert batch.converged.all() and not batch.iterations.any() and not batch.newton.any()
+
+    def test_stage_entropies_match_each_plan(self):
+        # the LP groups take their entropies in one stacked expression
+        tree_a, tree_b = height3_pair()
+        for table in nested_exact(tree_a, tree_b, 1.0).stage_tables:
+            for solution in table.values():
+                assert solution.entropy == pytest.approx(entropy(solution.plan), rel=1e-15, abs=0)
+
+    def test_result_carries_its_leaf_cost(self):
+        tree_a, tree_b = height3_pair()
+        for res in (nested_exact(tree_a, tree_b, 2.0), nested_sinkhorn(tree_a, tree_b, 2.0, 5.0)):
+            assert np.array_equal(res.leaf_cost, cost_matrix(tree_a, tree_b, 2.0))
+            assert not res.leaf_cost.flags.writeable
 
 
 class TestFlatNestedLp:
@@ -369,7 +383,7 @@ class TestEntropicEquivalence:
     def test_height3_pair(self):
         tree_a, tree_b = height3_pair()
         res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=5.0, tol=1e-12)
-        report = verify_entropic_equivalence(tree_a, tree_b, 1.0, 5.0, res)
+        report = verify_entropic_equivalence(res)
         assert report.passed
         assert report.max_marginal_residual <= 1e-7
         assert report.objective_gap <= 1e-7
@@ -379,14 +393,14 @@ class TestEntropicEquivalence:
         a = path_tree([0.0, 1.0])
         b = path_tree([0.5, 0.5])
         res = nested_sinkhorn(a, b, 1.0, lam=2.0, tol=1e-12)
-        report = verify_entropic_equivalence(a, b, 1.0, 2.0, res)
+        report = verify_entropic_equivalence(res)
         assert report.passed
 
     def test_split_timing_pair_small_lambda(self):
         # entropy dominates: the flat entropic objective may go negative
         early, late = split_timing_pair(0.1)
         res = nested_sinkhorn(early, late, 1.0, lam=1.0, tol=1e-12)
-        report = verify_entropic_equivalence(early, late, 1.0, 1.0, res)
+        report = verify_entropic_equivalence(res)
         assert report.passed
 
     def test_underflowed_stage_plan_entries(self):
@@ -396,7 +410,7 @@ class TestEntropicEquivalence:
         res = nested_sinkhorn(tree, tree, 1.0, lam=100.0)
         assert res.converged
         assert (res.stage_tables[1].plan == 0.0).sum() == 8
-        report = verify_entropic_equivalence(tree, tree, 1.0, 100.0, res)
+        report = verify_entropic_equivalence(res)
         assert report.passed
         assert report.max_gibbs_residual <= 1e-12
 
@@ -404,13 +418,13 @@ class TestEntropicEquivalence:
         tree_a, tree_b = height3_pair()
         res = nested_exact(tree_a, tree_b, 1.0)
         with pytest.raises(ValueError, match="regularized"):
-            verify_entropic_equivalence(tree_a, tree_b, 1.0, 5.0, res)
+            verify_entropic_equivalence(res)
 
     def test_rejects_unconverged(self):
         tree_a, tree_b = height3_pair()
         res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=30.0, tol=1e-12, max_iter=2)
         with pytest.raises(ValueError, match="converged"):
-            verify_entropic_equivalence(tree_a, tree_b, 1.0, 30.0, res)
+            verify_entropic_equivalence(res)
 
 
 class TestBoundReport:

@@ -123,5 +123,5 @@ def test_node_order_does_not_change_values(pair):
     assert mixed.value_with_entropy_pow == pytest.approx(sink.value_with_entropy_pow,
                                                          rel=0, abs=1e-12)
     if mixed.converged:
-        assert verify_entropic_equivalence(mixed_a, mixed_b, r, 1.0, mixed).passed
+        assert verify_entropic_equivalence(mixed).passed
         assert martingale_check(mixed).passed

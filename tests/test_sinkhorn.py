@@ -520,7 +520,7 @@ class TestNewtonFinish:
         assert not sinkhorn_stabilized(p, q, cost, 5.0, max_iter=5000).converged
         res = sinkhorn_auto(p, q, cost, 5.0)
         assert res.converged and res.newton > 0
-        report = bound_certificates(p, q, cost, 5.0, res, solve_transport_lp(p, q, cost))
+        report = bound_certificates(cost, res, solve_transport_lp(p, q, cost))
         assert report.all_passed, [c for c in report.checks if not c.passed]
 
     def test_mixed_stack(self):
@@ -648,7 +648,7 @@ class TestBoundCertificates:
     def run_instance(self, p, q, cost, lam):
         sink = sinkhorn_auto(p, q, cost, lam, tol=1e-12)
         lp = solve_transport_lp(p, q, cost)
-        return bound_certificates(p, q, cost, lam, sink, lp)
+        return bound_certificates(cost, sink, lp)
 
     def test_symmetric_instance(self):
         report = self.run_instance(HALF, HALF, FLIP_COST, 1.0)
@@ -677,6 +677,22 @@ class TestBoundCertificates:
         cost = rng.uniform(0.0, 3.0, size=(5, 7))
         report = self.run_instance(p, q, cost, lam)
         assert report.all_passed, [c for c in report.checks if not c.passed]
+
+    def test_rejects_solutions_of_different_instances(self):
+        rng = np.random.default_rng(5)
+        p, q, other = (rng.dirichlet(np.ones(k)) for k in (3, 4, 3))
+        cost = rng.uniform(0.0, 2.0, size=(3, 4))
+        sink = sinkhorn_auto(p, q, cost, 5.0, tol=1e-12)
+        lp = solve_transport_lp(p, q, cost)
+        mismatches = [
+            (cost, solve_transport_lp(other, q, cost)),          # row marginals
+            (cost, solve_transport_lp(p, other, cost[:, :3])),   # plan shapes
+            (cost[:, :3], lp),                                   # cost shape
+        ]
+        for instance_cost, exact in mismatches:
+            with pytest.raises(ValueError, match="one instance"):
+                bound_certificates(instance_cost, sink, exact)
+        assert bound_certificates(cost, sink, lp).all_passed
 
     def test_ordering_property(self):
         rng = np.random.default_rng(23)
