@@ -48,6 +48,7 @@ __all__ = [
     "nested_bound_report",
     "nested_exact",
     "nested_sinkhorn",
+    "verify_entropic_equivalence",
 ]
 
 # regularization grid used by the convergence experiments

@@ -12,9 +12,9 @@ and report the plan, its cost, its entropy, and the entropic objective.
 One dispatcher chooses the form per problem, sweeps a short block, and
 finishes the problems still unconverged by damped Newton steps on the
 semi-dual (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635), going back to
-log-domain sweeps, in doubling blocks, wherever a Newton step fails to
-halve the marginal violation.  It solves the stagewise subproblems of the
-nested recursion, and :func:`sinkhorn_auto` is a stack of one;
+log-domain sweeps, in doubling blocks, wherever a Newton phase stops short
+of the tolerance.  It solves the stagewise subproblems of the nested
+recursion, and :func:`sinkhorn_auto` is a stack of one;
 :func:`sinkhorn` and :func:`sinkhorn_stabilized` are the two sweep loops
 alone.  Dual multipliers recovered from the scalings certify the result
 against the exact linear program.
@@ -54,6 +54,8 @@ _SWEEP_BLOCK = 50     # sweeps before a problem's first Newton phase; later bloc
 _NEWTON_CAP = 8.0     # largest change of a log potential in one Newton step
 _ARMIJO = 1e-4        # sufficient increase of the semi-dual objective along a step
 _LINE_SEARCH = 30     # step halvings before a Newton step is given up
+_PHASE_STEPS = 200    # Newton steps in one phase at most
+_RIDGE = 1e-12        # added to the unit diagonal of the scaled Newton system
 
 
 class KernelUnderflowError(FloatingPointError):
@@ -416,17 +418,6 @@ def _semi_dual(km: np.ndarray, log_Q: np.ndarray, f: np.ndarray):
     return g, a + g[:, None, :]
 
 
-def _solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``H x = b`` for a stack; a singular system gets its least-squares
-    solution, the others the same solve as in a stack without it."""
-    try:
-        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(H) == 1:
-            return np.linalg.lstsq(H[0], b[0], rcond=None)[0][None]
-        return np.concatenate([_solve(H[k:k + 1], b[k:k + 1]) for k in range(len(H))])
-
-
 def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.ndarray,
             tol: float):
     """Damped Newton steps on the semi-dual of a stack (Brauer, Clason,
@@ -437,11 +428,17 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
     step.  The Hessian is the graph Laplacian of the weights
     ``w_ik = sum_j X_ij X_kj / q_j``, its diagonal summed from those
     weights (the form ``diag(r) - X diag(1/q) X^T`` cancels weak couplings
-    to zero), plus a rank-one term that fixes the gauge.  A step is capped
-    at :data:`_NEWTON_CAP` in every potential and halved until the max-norm
-    marginal error drops or the semi-dual objective passes an Armijo test.
-    A problem stops on its tolerance, or after the first step that does
-    not at least halve its error.  Returns the last potentials, the step
+    to zero).  The first potential is pinned, which removes the free shift;
+    the rest of the Laplacian is scaled to a unit diagonal by its degrees
+    (1 where a degree is 0) and gets :data:`_RIDGE` on it, so no system is
+    singular however weak its couplings.  A step is capped at :data:`_NEWTON_CAP` in every
+    potential and halved until the max-norm marginal error drops or the
+    semi-dual objective passes an Armijo test.  Every problem takes a step,
+    since its plan misses the tolerance and the error measured here differs
+    from the plan's by round-off.  It stops on its tolerance, after
+    :data:`_PHASE_STEPS` steps, or after a step that neither halves its
+    error nor was capped and taken whole: such steps cross couplings too
+    weak to move the error at first.  Returns the last potentials, the step
     counts and the mask of converged problems.
     """
     if km.shape[1] > km.shape[2]:
@@ -456,21 +453,22 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
     objective = (P * f).sum(axis=1) + (Q * g).sum(axis=1)
     f_out, g_out = f.copy(), g
     steps = np.zeros(A, dtype=int)
-    converged = err <= tol
-    active = np.flatnonzero(~converged)
-    f, X, err, objective = f[active], X[active], err[active], objective[active]
-    km, P, Q, log_Q = km[active], P[active], Q[active], log_Q[active]
-    gauge = np.full((m, m), 1.0 / m)
+    converged = np.zeros(A, dtype=bool)
+    active = np.arange(A)
     diagonal = np.arange(m)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while active.size:
             grad = P - X.sum(axis=2)
             weights = X @ (X / Q[:, None, :]).transpose(0, 2, 1)
             weights[:, diagonal, diagonal] = 0.0
-            hessian = gauge - weights
-            hessian[:, diagonal, diagonal] += weights.sum(axis=2)
-            step = _solve(hessian, grad)
-            step *= np.minimum(1.0, _NEWTON_CAP / np.abs(step).max(axis=1))[:, None]
+            degree = weights.sum(axis=2)
+            scale = 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0))
+            scale[:, 0] = 0.0  # pins the first potential
+            hessian = -weights * scale[:, :, None] * scale[:, None, :]
+            hessian[:, diagonal, diagonal] = 1.0 + _RIDGE
+            step = scale * np.linalg.solve(hessian, (scale * grad)[:, :, None])[:, :, 0]
+            longest = np.abs(step).max(axis=1)
+            step *= np.minimum(1.0, _NEWTON_CAP / longest)[:, None]
             slope = (grad * step).sum(axis=1)
             steps[active] += 1
             t = np.ones(len(active))
@@ -496,7 +494,8 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
                 t[trying] *= 0.5
             done = accepted & (new_err <= tol)
             converged[active[done]] = True
-            going = accepted & ~done & (new_err <= 0.5 * err)
+            going = (accepted & ~done & (steps[active] < _PHASE_STEPS)
+                     & ((new_err <= 0.5 * err) | ((longest > _NEWTON_CAP) & (t == 1.0))))
             active = active[going]
             f, X, err, objective = f[going], X[going], new_err[going], objective[going]
             km, P, Q, log_Q = km[going], P[going], Q[going], log_Q[going]

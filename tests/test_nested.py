@@ -1,6 +1,9 @@
 """Nested recursions, the flat-LP oracle, and the verification reports."""
 
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,10 @@ from nested_sinkhorn import (
     wasserstein_distance,
 )
 from nested_sinkhorn.nested import _lp_group
+
+# the package exports the function ``nested_sinkhorn``, which hides the package itself
+package = importlib.import_module("nested_sinkhorn")
+nested_module = importlib.import_module("nested_sinkhorn.nested")
 
 
 class TestNestedExact:
@@ -518,3 +525,13 @@ class TestLambdaSweep:
             lambda_sweep(early, late, 1.0, [1.0, -2.0])
         with pytest.raises(ValueError, match="non-empty"):
             lambda_sweep(early, late, 1.0, [])
+
+
+def test_module_exports_match_package():
+    # ``nested.__all__`` lists exactly the names the package imports from it
+    source = Path(package.__file__).read_text(encoding="utf-8")
+    imported = {alias.name for node in ast.parse(source).body
+                if isinstance(node, ast.ImportFrom) and node.module == "nested"
+                for alias in node.names}
+    assert imported == set(nested_module.__all__)
+    assert imported <= set(package.__all__)

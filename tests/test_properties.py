@@ -95,7 +95,7 @@ def test_distance_to_itself_is_zero(pair):
 
 
 @PROPERTY_SETTINGS
-@given(tree_pairs(), st.sampled_from([1.0, 5.0]))
+@given(tree_pairs(), st.sampled_from([1.0, 5.0, 20.0, 100.0]))
 def test_sandwich(pair, lam):
     tree_a, tree_b, r = pair
     sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=1e-12, max_iter=20_000)

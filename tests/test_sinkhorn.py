@@ -550,28 +550,45 @@ class TestNewtonFinish:
                                        batch.marginal_error[k])
         assert kinds == {"swept", "newton", "resumed"}
 
-    def test_singular_newton_system(self, monkeypatch):
-        # where the kernel's off-diagonal entries underflow, the Newton
-        # weights vanish and the system is singular: it gets the
-        # least-squares step, and its stack mates the solve they get alone
-        singular = []
-        lstsq = np.linalg.lstsq
+    def test_singular_newton_system(self):
+        # the kernel's off-diagonal entries underflow, so the Newton weights
+        # vanish; the pinned, scaled system stays solvable, and a mild stack
+        # mate gets the result it gets alone
+        p, q = np.array([0.3, 0.7]), np.array([0.7, 0.3])
+        cost = np.array([[0.0, 1000.0], [1000.0, 0.0]])
+        res = sinkhorn_auto(p, q, cost, lam=1.0)
+        assert res.newton > 0 and res.converged
+        mild = (HALF, np.array([0.4, 0.6]), FLIP_COST)
+        batch = _sinkhorn_batch(np.stack([p, mild[0]]), np.stack([q, mild[1]]),
+                                np.stack([cost, mild[2]]), lam=1.0)
+        assert batch.converged.all()
+        assert_same_as_alone(batch, 0, res, 1e-12)
+        assert_same_as_alone(batch, 1, sinkhorn_auto(*mild, lam=1.0), 1e-12)
 
-        def counted(*args, **kwargs):
-            singular.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        res = sinkhorn_auto(np.array([0.3, 0.7]), np.array([0.7, 0.3]),
-                            np.array([[0.0, 1000.0], [1000.0, 0.0]]), lam=1.0)
-        assert singular and res.newton > 0 and res.converged
-        H = np.array([[[2.0, 1.0], [1.0, 3.0]], [[0.5, 0.5], [0.5, 0.5]]])
-        b = np.array([[1.0, -1.0], [0.25, -0.25]])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(H, b[:, :, None])
-        x = sinkhorn_module._solve(H, b)
-        assert x[0] == pytest.approx(np.linalg.solve(H[0], b[0]), rel=0, abs=1e-15)
-        assert x[1] == pytest.approx(np.linalg.lstsq(H[1], b[1], rcond=None)[0], rel=0, abs=1e-15)
+    # two subproblems of the 72x72-leaf pair [1,4,1,3,2,1,3] seed 0 against
+    # [1,2,3,1,2,3,2] seed 1 (generate_random_tree) at lam 100, written out
+    # in full precision: the stage-5 pair (63, 45), priced by the leaf
+    # costs, and the stage-3 pair (10, 11), priced by the stage-4 values.
+    # Their optimal plans move mass across nearly disconnected couplings
+    # (Newton weight 1.3e-41 in the first), where the sweeps crawl and
+    # capped Newton steps get through
+    @pytest.mark.parametrize("p, q, cost", [
+        ([0.2206758264982144, 0.47647371730454974, 0.30285045619723594],
+         [0.47629623698209106, 0.523703763017909],
+         [[7.981991671125049, 7.04045954100435], [7.19527196253452, 8.136804092655218],
+          [7.924461235267007, 6.982929105146308]]),
+        ([0.37785671818731975, 0.6221432818126802], [0.380130021809941, 0.6198699781900591],
+         [[7.53561996161789, 10.666759761471523], [11.745155611031763, 7.926102691076789]]),
+    ], ids=["stage5-3x2", "stage3-2x2"])
+    def test_nearly_disconnected_kernel(self, p, q, cost):
+        p, q, cost, lam, tol = np.array(p), np.array(q), np.array(cost), 100.0, 1e-9
+        res = sinkhorn_auto(p, q, cost, lam, tol)
+        assert res.converged and res.newton > 0
+        # Newton steps finish it without another sweep block
+        assert res.iterations == _SWEEP_BLOCK
+        duals = dual_from_scalings(res)
+        assert_newton_contract(p, q, cost, lam, tol, res.plan.matrix, res.de_s, duals.beta,
+                               duals.gamma, res.marginal_error)
 
 
 class TestEntropy:
