@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -307,6 +308,7 @@ def _list_of(kind: type):
     return parse
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nested-sinkhorn",

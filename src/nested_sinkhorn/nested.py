@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +32,6 @@ from .transport import TransportPlan, solve_transport_lp
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
-    "ConditionalSolution",
     "EquivalenceReport",
     "MartingaleReport",
     "NestedBoundReport",
@@ -61,39 +59,16 @@ GIBBS_TOL = 1e-6        # composed plan against its stagewise Gibbs reconstructi
 MARTINGALE_TOL = 1e-6   # conditional mean of the dual process against its current value
 PROJECTION_TOL = 1e-8   # conditional means of the translated multipliers
 
-
-@dataclass
-class ConditionalSolution:
-    """Solution of one conditional subproblem at a node pair.
-
-    ``plan`` couples the children of the two nodes (rows follow
-    ``row_children``, columns ``col_children``); ``value`` is the subproblem
-    optimum in the order-r power domain -- the transport cost for the exact
-    method, the full entropic objective for the regularized one.
-    """
-
-    row_children: tuple[int, ...]
-    col_children: tuple[int, ...]
-    row_probs: np.ndarray
-    col_probs: np.ndarray
-    plan: np.ndarray
-    value: float
-    dual_row: np.ndarray
-    dual_col: np.ndarray
-    entropy: float
-    iterations: int
-    converged: bool
+# the bound report's regularized run, tight so its slacks stay inside BOUND_SLACK
+BOUND_TOL = 1e-12         # marginal stopping tolerance per nested run
+BOUND_MAX_ITER = 200_000  # sweep cap per subproblem
 
 
 @dataclass(eq=False)
-class StageTable(Mapping):
-    """The solved subproblems of one stage as dense read-only arrays (layout
-    in :class:`NestedResult`); as a mapping, keyed by node-id pairs in stage
-    order, it builds each pair's :class:`ConditionalSolution` on access."""
+class StageTable:
+    """The solved subproblems of one stage as dense read-only arrays, laid
+    out as described in :class:`NestedResult`; ``len()`` is the pair count."""
 
-    tree_a: ScenarioTree
-    tree_b: ScenarioTree
-    stage: int
     value: np.ndarray
     entropy: np.ndarray
     iterations: np.ndarray
@@ -101,26 +76,6 @@ class StageTable(Mapping):
     plan: np.ndarray
     dual_row: np.ndarray
     dual_col: np.ndarray
-
-    def __getitem__(self, pair: tuple[int, int]) -> ConditionalSolution:
-        ia, jb = pair
-        index_a, index_b = self.tree_a.stage_index, self.tree_b.stage_index
-        t = self.stage
-        i, j = index_a.position[t][ia], index_b.position[t][jb]
-        kids_a, kids_b = self.tree_a.children(ia), self.tree_b.children(jb)
-        rows = [index_a.position[t + 1][c] for c in kids_a]
-        cols = [index_b.position[t + 1][c] for c in kids_b]
-        return ConditionalSolution(
-            row_children=kids_a, col_children=kids_b,
-            row_probs=index_a.cond_prob[t + 1][rows], col_probs=index_b.cond_prob[t + 1][cols],
-            plan=self.plan[np.ix_(rows, cols)], value=float(self.value[i, j]),
-            dual_row=self.dual_row[rows, j], dual_col=self.dual_col[i, cols],
-            entropy=float(self.entropy[i, j]), iterations=int(self.iterations[i, j]),
-            converged=bool(self.converged[i, j]),
-        )
-
-    def __iter__(self):
-        return itertools.product(self.tree_a.stage(self.stage), self.tree_b.stage(self.stage))
 
     def __len__(self) -> int:
         return self.value.size
@@ -163,7 +118,8 @@ class NestedResult:
     against the leaf costs while ``value_with_entropy`` is the recursion's
     root value, which also subtracts ``total_entropy / lam``.  ``stats``
     holds one :class:`StageStats` record per stage, in stage order, and
-    ``leaf_cost`` the read-only leaf-pair cost matrix the recursion priced.
+    ``leaf_cost`` the read-only leaf-pair cost matrix the recursion priced
+    between ``tree_a`` and ``tree_b``.
 
     ``stage_tables[t]`` is the :class:`StageTable` of stage ``t``, whose node
     pairs are the full product ``tree_a.stage(t) x tree_b.stage(t)``, so each
@@ -172,15 +128,16 @@ class NestedResult:
     ``Ma``, ``Mb`` the stage-(t+1) sizes, ``value``, ``entropy``,
     ``iterations`` and ``converged`` are ``[Na, Nb]``, ``plan`` is ``[Ma, Mb]``
     (each child pair's entry in its parent pair's conditional plan),
-    ``dual_row`` is ``[Ma, Nb]`` and ``dual_col`` is ``[Na, Mb]``.
-    ``stage_tables[t][(ia, jb)]`` builds one pair's
-    :class:`ConditionalSolution` and ``len()`` is the pair count.
+    ``dual_row`` is ``[Ma, Nb]`` and ``dual_col`` is ``[Na, Mb]``.  The
+    trees' ``stage_index`` maps node ids to these positions.
     """
 
     value: float
     value_with_entropy: float
     value_pow: float
     value_with_entropy_pow: float
+    tree_a: ScenarioTree
+    tree_b: ScenarioTree
     stage_tables: list[StageTable]
     leaf_cost: np.ndarray
     composed_plan: TransportPlan
@@ -236,7 +193,7 @@ def _solve_stagewise(
         start = time.perf_counter()
         (Na, Nb), (Ma, Mb) = (len(tree_a.stage(t)), len(tree_b.stage(t))), next_value.shape
         table = StageTable(
-            tree_a, tree_b, t, value=np.empty((Na, Nb)), entropy=np.empty((Na, Nb)),
+            value=np.empty((Na, Nb)), entropy=np.empty((Na, Nb)),
             iterations=np.empty((Na, Nb), dtype=int), converged=np.empty((Na, Nb), dtype=bool),
             plan=np.empty((Ma, Mb)), dual_row=np.empty((Ma, Nb)), dual_col=np.empty((Na, Mb)),
         )
@@ -262,7 +219,7 @@ def _solve_stagewise(
                 stabilized += int(batch.stabilized.sum())
                 newton += int(batch.newton.sum())
                 worst = max(worst, float(batch.marginal_error.max()))
-        for array_field in fields(table)[3:]:  # the fields after tree_a, tree_b, stage
+        for array_field in fields(table):
             getattr(table, array_field.name).flags.writeable = False
         tables.append(table)
         stats.append(StageStats(
@@ -337,6 +294,8 @@ def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
         value_with_entropy=_signed_root(root_pow, r),
         value_pow=value_pow,
         value_with_entropy_pow=root_pow,
+        tree_a=tree_a,
+        tree_b=tree_b,
         stage_tables=tables,
         leaf_cost=leaf_cost,
         composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
@@ -495,7 +454,7 @@ def verify_entropic_equivalence(result: NestedResult) -> EquivalenceReport:
     :data:`OBJECTIVE_TOL` and :data:`GIBBS_TOL`."""
     _check_reportable(result, "equivalence verification")
     tables, lam, cost = result.stage_tables, result.lam, result.leaf_cost
-    tree_a, tree_b = tables[0].tree_a, tables[0].tree_b
+    tree_a, tree_b = result.tree_a, result.tree_b
     matrix = result.composed_plan.matrix
     max_residual = conditional_marginal_residuals(tree_a, tree_b, matrix)
 
@@ -566,19 +525,18 @@ class NestedBoundReport:
 
 
 def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
-                        lam: float = 20.0, *, tol: float = 1e-12,
-                        max_iter: int = 200_000) -> NestedBoundReport:
+                        lam: float = 20.0) -> NestedBoundReport:
     """Compute exact and regularized nested values and check the bounds.
 
     All comparisons run on order-r power values: the sandwich
     ``nde_s <= nd_w <= nd_s``, the gap bounds against the composed-plan
     entropies, and the stage-count cap ``T * (log m_a + log m_b) / lam``
     with ``m_a``, ``m_b`` the largest immediate-successor counts anywhere in
-    the trees.  Subproblems run at a tight tolerance by default so that the
-    inequality slacks stay well inside :data:`BOUND_SLACK`.
+    the trees.  The regularized run takes :data:`BOUND_TOL` and
+    :data:`BOUND_MAX_ITER`.
     """
     exact = nested_exact(tree_a, tree_b, r)
-    sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=tol, max_iter=max_iter)
+    sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=BOUND_TOL, max_iter=BOUND_MAX_ITER)
     nd_w = exact.value_pow
     nd_s = sink.value_pow
     nde_s = sink.value_with_entropy_pow
@@ -645,7 +603,7 @@ def martingale_check(result: NestedResult) -> MartingaleReport:
     """
     _check_reportable(result, "martingale check")
     tables = result.stage_tables
-    index_a, index_b = tables[0].tree_a.stage_index, tables[0].tree_b.stage_index
+    index_a, index_b = result.tree_a.stage_index, result.tree_b.stage_index
     max_resid = 0.0
     max_proj = 0.0
     for t, table in enumerate(tables):

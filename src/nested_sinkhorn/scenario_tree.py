@@ -89,11 +89,12 @@ class StageIndex:
 class ScenarioTree:
     """Rooted tree with per-node states and conditional branch probabilities.
 
-    Construction validates every structural invariant: a single root carrying
-    probability one, strictly positive branch probabilities summing to one
-    over each sibling group, unique ids, acyclic parent links and a common
-    depth for all leaves.  Node order in ``nodes`` is preserved; children and
-    leaves are always enumerated in that order.
+    Construction validates every invariant: finite states, a single root
+    carrying probability one, strictly positive branch probabilities summing
+    to one over each sibling group, unique ids, acyclic parent links and a
+    common depth for all leaves; a NaN fails every probability check.  Node
+    order in ``nodes`` is preserved; children and leaves are always
+    enumerated in that order.
     """
 
     nodes: tuple[Node, ...]
@@ -107,12 +108,14 @@ class ScenarioTree:
         for node in nodes:
             if node.id in by_id:
                 raise TreeFormatError(f"duplicate node id {node.id}")
+            if not math.isfinite(node.state):
+                raise TreeFormatError(f"node {node.id} has non-finite state {node.state!r}")
             by_id[node.id] = node
         roots = [n for n in nodes if n.parent is None]
         if len(roots) != 1:
             raise TreeFormatError(f"tree must have exactly one root, found {len(roots)}")
         root = roots[0]
-        if abs(root.cond_prob - 1.0) > _CHILD_SUM_ATOL:
+        if not abs(root.cond_prob - 1.0) <= _CHILD_SUM_ATOL:
             raise TreeFormatError(f"root probability must be 1, got {root.cond_prob!r}")
         children: dict[int, list[int]] = {n.id: [] for n in nodes}
         for node in nodes:
@@ -120,7 +123,7 @@ class ScenarioTree:
                 continue
             if node.parent not in by_id:
                 raise TreeFormatError(f"node {node.id} references unknown parent {node.parent}")
-            if node.cond_prob <= 0.0:
+            if not node.cond_prob > 0.0:
                 raise TreeFormatError(f"node {node.id} has nonpositive probability {node.cond_prob!r}")
             children[node.parent].append(node.id)
         depth: dict[int, int] = {root.id: 0}
@@ -138,7 +141,7 @@ class ScenarioTree:
             if not kids:
                 continue
             total = math.fsum(by_id[c].cond_prob for c in kids)
-            if abs(total - 1.0) > _CHILD_SUM_ATOL:
+            if not abs(total - 1.0) <= _CHILD_SUM_ATOL:
                 raise TreeFormatError(
                     f"children probabilities sum to {total:.10g} under node {nid}"
                 )
@@ -228,9 +231,10 @@ def parse_tree(text: str) -> ScenarioTree:
 
     The format is ``{"nodes": [{"id": int, "parent": int|null, "state": num,
     "prob": num}, ...]}`` with exactly one root (``parent: null``) of
-    probability one.  Sibling probabilities within 1e-9 of a unit sum are
-    renormalized to sum to one exactly; larger deviations are rejected, as
-    are nonpositive probabilities.
+    probability one.  Root probabilities and sibling sums within 1e-9 of one
+    are set or renormalized to one exactly; larger deviations are rejected.
+    Probabilities must be finite numbers; every other invariant is checked by
+    :class:`ScenarioTree`.
     """
     try:
         doc = json.loads(text)
@@ -252,18 +256,12 @@ def parse_tree(text: str) -> ScenarioTree:
             raise TreeFormatError(f"parent of node {nid} must be an integer or null")
         if not isinstance(state, (int, float)) or isinstance(state, bool):
             raise TreeFormatError(f"state of node {nid} must be a number")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-            raise TreeFormatError(f"prob of node {nid} must be a number")
+        if not isinstance(prob, (int, float)) or isinstance(prob, bool) or not math.isfinite(prob):
+            raise TreeFormatError(f"prob of node {nid} must be a finite number")
         raw.append((nid, parent, float(state), float(prob)))
-    # duplicate ids and unknown parents are rejected by ScenarioTree itself
-    roots = [item for item in raw if item[1] is None]
-    if len(roots) != 1:
-        raise TreeFormatError(f"tree must have exactly one root, found {len(roots)}")
-    if abs(roots[0][3] - 1.0) > _PARSE_SUM_ATOL:
-        raise TreeFormatError(f"root probability must be 1, got {roots[0][3]!r}")
-    for nid, _, _, prob in raw:
-        if prob <= 0.0:
-            raise TreeFormatError(f"node {nid} has nonpositive probability {prob!r}")
+    for _, parent, _, prob in raw:
+        if parent is None and not abs(prob - 1.0) <= _PARSE_SUM_ATOL:
+            raise TreeFormatError(f"root probability must be 1, got {prob!r}")
     probs = [1.0 if item[1] is None else item[3] for item in raw]
     groups: dict[int, list[int]] = {}
     for idx, (nid, parent, _, _) in enumerate(raw):
@@ -271,7 +269,7 @@ def parse_tree(text: str) -> ScenarioTree:
             groups.setdefault(parent, []).append(idx)
     for parent, members in groups.items():
         total = math.fsum(probs[k] for k in members)
-        if abs(total - 1.0) > _PARSE_SUM_ATOL:
+        if not abs(total - 1.0) <= _PARSE_SUM_ATOL:
             raise TreeFormatError(
                 f"children probabilities sum to {total:.10g} under node {parent}"
             )

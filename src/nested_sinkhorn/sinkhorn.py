@@ -119,10 +119,9 @@ class CheckResult:
     passed: bool
 
 
-def bounded_check(name: str, value: float, upper: float, lower: float = -math.inf,
-                  slack_tol: float = BOUND_SLACK) -> CheckResult:
+def bounded_check(name: str, value: float, upper: float, lower: float = -math.inf) -> CheckResult:
     slack = min(value - lower, upper - value)
-    return CheckResult(name, value, lower, upper, slack, slack >= -slack_tol)
+    return CheckResult(name, value, lower, upper, slack, slack >= -BOUND_SLACK)
 
 
 @dataclass

@@ -263,6 +263,16 @@ class TestExitCodes:
         _, path_b = write_pair(tmp_path, pair)
         assert main(["nested", "--tree-a", str(bad), "--tree-b", path_b]) == 2
 
+    def test_non_finite_tree(self, tmp_path, capsys):
+        early, late = split_timing_pair(0.1)
+        doc = json.loads(serialize_tree(early))
+        doc["nodes"][1]["prob"] = math.nan
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # written as the JSON extension NaN
+        _, path_b = write_pair(tmp_path, (early, late))
+        assert main(["nested", "--tree-a", str(bad), "--tree-b", path_b]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_height_mismatch(self, tmp_path):
         early, _ = split_timing_pair(0.1)
         tree_a, _ = height3_pair()
@@ -340,6 +350,10 @@ ACCEPTED_OPTIONS = {
     "bench": {"--r", "--output", "--out", "--lambda", "--tol", "--max-iter", "--branching-a",
               "--branching-b", "--max-stages", "--seed"},
 }
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_each_command_accepts_exactly_its_options():

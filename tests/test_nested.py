@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import itertools
 import math
 from pathlib import Path
 
@@ -42,6 +43,14 @@ package = importlib.import_module("nested_sinkhorn")
 nested_module = importlib.import_module("nested_sinkhorn.nested")
 
 
+def stage_pairs(tree_a, tree_b, t):
+    """Every node pair ``(i, j)`` of stage ``t`` by position, with the
+    stage-(t+1) positions of the two nodes' children in child order."""
+    parent_a, parent_b = tree_a.stage_index.parent[t + 1], tree_b.stage_index.parent[t + 1]
+    for i, j in itertools.product(range(len(tree_a.stage(t))), range(len(tree_b.stage(t)))):
+        yield i, j, np.flatnonzero(parent_a == i), np.flatnonzero(parent_b == j)
+
+
 class TestNestedExact:
     def test_split_timing_pair_hand_recursion(self):
         # conditional values at stage 1 are 1.1 and 1.0; the root couples
@@ -50,7 +59,7 @@ class TestNestedExact:
         res = nested_exact(early, late, 1.0)
         assert res.value == pytest.approx(1.05, abs=1e-10)
         stage1 = res.stage_tables[1]
-        values = sorted(sol.value for sol in stage1.values())
+        values = sorted(stage1.value.ravel())
         assert values == pytest.approx([1.0, 1.1], abs=1e-12)
 
     def test_identical_trees_diagonal_coupling(self):
@@ -85,12 +94,16 @@ class TestNestedExact:
         paths_b = tree_b.leaf_paths()
         child_index_a = {c: k for n in tree_a.nodes for k, c in enumerate(tree_a.children(n.id))}
         child_index_b = {c: k for n in tree_b.nodes for k, c in enumerate(tree_b.children(n.id))}
+        position_a, position_b = tree_a.stage_index.position, tree_b.stage_index.position
         for ia, pa in enumerate(paths_a):
             for jb, pb in enumerate(paths_b):
                 w = 1.0
                 for t in range(tree_a.height):
-                    sol = res.stage_tables[t][(pa[t], pb[t])]
-                    w *= sol.plan[child_index_a[pa[t + 1]], child_index_b[pb[t + 1]]]
+                    # the conditional plan of the pair (pa[t], pb[t]), children in child order
+                    rows = [position_a[t + 1][c] for c in tree_a.children(pa[t])]
+                    cols = [position_b[t + 1][c] for c in tree_b.children(pb[t])]
+                    plan = res.stage_tables[t].plan[np.ix_(rows, cols)]
+                    w *= plan[child_index_a[pa[t + 1]], child_index_b[pb[t + 1]]]
                 assert res.composed_plan.matrix[ia, jb] == pytest.approx(w, abs=1e-10)
 
     def test_one_stage_degeneration(self):
@@ -145,9 +158,10 @@ class TestNestedExact:
     def test_stage_entropies_match_each_plan(self):
         # the LP groups take their entropies in one stacked expression
         tree_a, tree_b = height3_pair()
-        for table in nested_exact(tree_a, tree_b, 1.0).stage_tables:
-            for solution in table.values():
-                assert solution.entropy == pytest.approx(entropy(solution.plan), rel=1e-15, abs=0)
+        for t, table in enumerate(nested_exact(tree_a, tree_b, 1.0).stage_tables):
+            for i, j, rows, cols in stage_pairs(tree_a, tree_b, t):
+                assert table.entropy[i, j] == pytest.approx(entropy(table.plan[np.ix_(rows, cols)]),
+                                                            rel=1e-15, abs=0)
 
     def test_result_carries_its_leaf_cost(self):
         tree_a, tree_b = height3_pair()
@@ -305,27 +319,23 @@ def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
     ``sinkhorn_auto`` plus ``dual_from_scalings`` on the same subproblem;
     returns the reference results."""
     T = len(res.stage_tables)
-    leaf_cost = cost_matrix(tree_a, tree_b, 1.0)
-    pos_a = {leaf: k for k, leaf in enumerate(tree_a.leaf_ids)}
-    pos_b = {leaf: k for k, leaf in enumerate(tree_b.leaf_ids)}
+    # the last stage's nodes are the leaves, in leaf order
+    later = [table.value for table in res.stage_tables[1:]] + [cost_matrix(tree_a, tree_b, 1.0)]
+    prob_a, prob_b = tree_a.stage_index.cond_prob, tree_b.stage_index.cond_prob
     refs = []
-    for t, table in enumerate(res.stage_tables):
-        for sol in table.values():
-            if t + 1 == T:
-                cost = leaf_cost[np.ix_([pos_a[x] for x in sol.row_children],
-                                        [pos_b[y] for y in sol.col_children])]
-            else:
-                cost = np.array([[res.stage_tables[t + 1][(x, y)].value
-                                  for y in sol.col_children] for x in sol.row_children])
-            ref = sinkhorn_auto(sol.row_probs, sol.col_probs, cost, lam, tol / T, max_iter)
+    for t, (table, nxt) in enumerate(zip(res.stage_tables, later)):
+        for i, j, rows, cols in stage_pairs(tree_a, tree_b, t):
+            block = np.ix_(rows, cols)
+            ref = sinkhorn_auto(prob_a[t + 1][rows], prob_b[t + 1][cols], nxt[block], lam,
+                                tol / T, max_iter)
             duals = dual_from_scalings(ref)
-            assert sol.iterations == ref.iterations
-            assert sol.converged == ref.converged
-            assert sol.plan == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
-            assert sol.value == pytest.approx(ref.de_s, rel=0, abs=1e-12)
-            assert sol.entropy == pytest.approx(ref.entropy, rel=0, abs=1e-12)
-            assert sol.dual_row == pytest.approx(duals.beta, rel=0, abs=1e-12)
-            assert sol.dual_col == pytest.approx(duals.gamma, rel=0, abs=1e-12)
+            assert table.iterations[i, j] == ref.iterations
+            assert table.converged[i, j] == ref.converged
+            assert table.plan[block] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+            assert table.value[i, j] == pytest.approx(ref.de_s, rel=0, abs=1e-12)
+            assert table.entropy[i, j] == pytest.approx(ref.entropy, rel=0, abs=1e-12)
+            assert table.dual_row[rows, j] == pytest.approx(duals.beta, rel=0, abs=1e-12)
+            assert table.dual_col[i, cols] == pytest.approx(duals.gamma, rel=0, abs=1e-12)
             refs.append(ref)
     return refs
 
@@ -375,7 +385,7 @@ class TestStageKernel:
         assert [stage.subproblems for stage in res.stats] == [len(t) for t in res.stage_tables]
         assert sum(stage.iterations for stage in res.stats) == res.total_iterations
         for stage, table in zip(res.stats, res.stage_tables):
-            iterations = sorted(sol.iterations for sol in table.values())
+            iterations = sorted(table.iterations.ravel())
             assert (stage.iterations_min, stage.iterations_max) == (iterations[0], iterations[-1])
             assert stage.iterations_median == pytest.approx(float(np.median(iterations)))
             assert stage.max_marginal_error <= 1e-9

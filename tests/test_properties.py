@@ -14,6 +14,7 @@ The generated trees list their nodes stage by stage; ``interleaved``
 (conftest) lists the same tree with siblings spread across the list.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from nested_sinkhorn import (
     verify_entropic_equivalence,
     wasserstein_distance,
 )
+from nested_sinkhorn.nested import _group_sum
 from nested_sinkhorn.sinkhorn import BOUND_SLACK
 
 STATES = [-1.0, 0.0, 0.0, 0.5, 2.0]
@@ -92,6 +94,25 @@ def test_distance_to_itself_is_zero(pair):
     tree, _, r = pair
     assert nested_exact(tree, tree, r).value_pow == pytest.approx(0.0, abs=1e-14)
     assert wasserstein_distance(tree, tree, r) ** r == pytest.approx(0.0, abs=1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(tree_pairs())
+def test_exact_stage_duals_certify_every_stage_lp(pair):
+    # every stage LP at once, with the duals broadcast over the stage's child pairs
+    tree_a, tree_b, r = pair
+    res = nested_exact(tree_a, tree_b, r)
+    index_a, index_b = tree_a.stage_index, tree_b.stage_index
+    later = [table.value for table in res.stage_tables[1:]] + [res.leaf_cost]
+    for t, (table, nxt) in enumerate(zip(res.stage_tables, later)):
+        parent_a, parent_b = index_a.parent[t + 1], index_b.parent[t + 1]
+        eps = 1e-12 * max(1.0, float(np.abs(nxt).max()))
+        reduced = nxt - table.dual_row[:, parent_b] - table.dual_col[parent_a, :]
+        assert reduced.min() >= -eps  # dual feasibility
+        assert np.abs(reduced[table.plan > 0.0]).max() <= eps  # complementary slackness
+        dual_value = (_group_sum(index_a.cond_prob[t + 1][:, None] * table.dual_row, parent_a, 0)
+                      + _group_sum(index_b.cond_prob[t + 1][None, :] * table.dual_col, parent_b, 1))
+        assert np.abs(dual_value - table.value).max() <= eps  # zero duality gap
 
 
 @PROPERTY_SETTINGS

@@ -14,6 +14,8 @@ from conftest import (
     tree_from_nodes,
 )
 from nested_sinkhorn import (
+    Node,
+    ScenarioTree,
     TreeFormatError,
     cost_matrix,
     generate_random_tree,
@@ -90,6 +92,23 @@ class TestParsing:
                 {"id": 1, "parent": 0, "state": 1.0, "prob": 0.0},
                 {"id": 2, "parent": 0, "state": 2.0, "prob": 1.0},
             ])
+
+    @pytest.mark.parametrize("k, key, value", [
+        (1, "prob", math.nan),   # branch probability
+        (0, "prob", math.nan),   # root probability
+        (1, "state", math.inf),
+        (1, "state", math.nan),
+    ])
+    def test_non_finite_values_rejected(self, k, key, value):
+        # Python's json writes and reads NaN and Infinity
+        nodes = [{"id": 0, "parent": None, "state": 0.0, "prob": 1.0},
+                 {"id": 1, "parent": 0, "state": 1.0, "prob": 0.5},
+                 {"id": 2, "parent": 0, "state": 2.0, "prob": 0.5}]
+        nodes[k][key] = value
+        with pytest.raises(TreeFormatError, match=f"node {k}"):
+            tree_from_nodes(nodes)
+        with pytest.raises(TreeFormatError, match="nan|inf"):
+            ScenarioTree(tuple(Node(n["id"], n["parent"], n["state"], n["prob"]) for n in nodes))
 
     def test_unequal_leaf_depths(self):
         with pytest.raises(TreeFormatError, match="depth"):
