@@ -185,7 +185,7 @@ def _cmd_nested_sinkhorn(config: RunConfig) -> int:
 
 def _cmd_sweep(config: RunConfig) -> int:
     tree_a, tree_b = _load_pair(config)
-    grid = config.lambdas if config.lambdas else DEFAULT_LAMBDA_GRID
+    grid = DEFAULT_LAMBDA_GRID if config.lambdas is None else config.lambdas
     rows = lambda_sweep(tree_a, tree_b, config.r, grid, tol=config.tol,
                         max_iter=config.max_iter)
     _emit(

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
-from .sinkhorn import (CheckResult, _BatchResult, _marginal_errors, _sinkhorn_batch,
+from .sinkhorn import (CheckResult, _BatchResult, _check_lam, _marginal_errors, _sinkhorn_batch,
                        _stacked_entropy, bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
@@ -501,27 +501,14 @@ def verify_entropic_equivalence(result: NestedResult) -> EquivalenceReport:
 
 @dataclass
 class NestedBoundReport:
-    """Sandwich and gap bounds for the regularized nested divergence;
-    ``regularized`` is the run they were checked on."""
+    """Sandwich and gap bounds for the regularized nested divergence, checked
+    on the runs ``exact`` and ``regularized``; ``all_passed`` also needs the
+    regularized run converged."""
 
-    nd_w_pow: float
-    nd_s_pow: float
-    nde_s_pow: float
-    nd_w: float
-    nd_s: float
-    nde_s: float
-    entropy_regularized: float
-    entropy_exact: float
-    stages: int
-    max_branching_a: int
-    max_branching_b: int
-    gap_bound: float
-    lam: float
-    r: float
-    converged: bool
+    exact: NestedResult
     regularized: NestedResult
-    checks: list[CheckResult] = field(default_factory=list)
-    all_passed: bool = True
+    checks: list[CheckResult]
+    all_passed: bool
 
 
 def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
@@ -533,8 +520,9 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
     entropies, and the stage-count cap ``T * (log m_a + log m_b) / lam``
     with ``m_a``, ``m_b`` the largest immediate-successor counts anywhere in
     the trees.  The regularized run takes :data:`BOUND_TOL` and
-    :data:`BOUND_MAX_ITER`.
+    :data:`BOUND_MAX_ITER`; the cap is the ``upper`` of the last check.
     """
+    _check_lam(lam)
     exact = nested_exact(tree_a, tree_b, r)
     sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=BOUND_TOL, max_iter=BOUND_MAX_ITER)
     nd_w = exact.value_pow
@@ -542,10 +530,8 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
     nde_s = sink.value_with_entropy_pow
     h_s = sink.total_entropy
     h_w = exact.total_entropy
-    stages = tree_a.height
     m_a = max(max(groups) for groups in tree_a.stage_index.children)
     m_b = max(max(groups) for groups in tree_b.stage_index.children)
-    gap_bound = stages * (math.log(m_a) + math.log(m_b)) / lam
     checks = [
         bounded_check("sandwich: entropic <= exact <= regularized", nd_w,
                       upper=nd_s, lower=nde_s),
@@ -554,28 +540,11 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
         bounded_check("objective gap vs plan entropy", nd_w - nde_s,
                       upper=h_s / lam),
         bounded_check("largest gap vs stagewise branching bound",
-                      max(nd_s - nd_w, nd_w - nde_s), upper=gap_bound),
+                      max(nd_s - nd_w, nd_w - nde_s),
+                      upper=tree_a.height * (math.log(m_a) + math.log(m_b)) / lam),
     ]
-    return NestedBoundReport(
-        nd_w_pow=nd_w,
-        nd_s_pow=nd_s,
-        nde_s_pow=nde_s,
-        nd_w=exact.value,
-        nd_s=sink.value,
-        nde_s=sink.value_with_entropy,
-        entropy_regularized=h_s,
-        entropy_exact=h_w,
-        stages=stages,
-        max_branching_a=m_a,
-        max_branching_b=m_b,
-        gap_bound=gap_bound,
-        lam=lam,
-        r=r,
-        converged=sink.converged,
-        regularized=sink,
-        checks=checks,
-        all_passed=sink.converged and all(c.passed for c in checks),
-    )
+    return NestedBoundReport(exact, sink, checks,
+                             sink.converged and all(c.passed for c in checks))
 
 
 @dataclass
@@ -663,8 +632,10 @@ def lambda_sweep(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     reported but carry no determinism guarantee.
     """
     lambdas = list(lambdas)
-    if not lambdas or any(lam <= 0.0 for lam in lambdas):
-        raise ValueError("lambda grid must be non-empty and strictly positive")
+    if not lambdas:
+        raise ValueError("lambda grid must be non-empty")
+    for lam in lambdas:
+        _check_lam(lam)
     start = time.perf_counter()
     exact = nested_exact(tree_a, tree_b, r)
     exact_time = time.perf_counter() - start

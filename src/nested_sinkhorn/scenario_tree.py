@@ -316,10 +316,15 @@ def trajectories(tree: ScenarioTree) -> list[Trajectory]:
     return out
 
 
+def _check_order(r: float) -> None:
+    # written so that NaN fails it
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"order r must be >= 1 and finite, got {r}")
+
+
 def ground_cost(a: Trajectory, b: Trajectory, r: float = 1.0) -> float:
     """l1 distance between two equal-length trajectories, raised to power ``r``."""
-    if r < 1.0:
-        raise ValueError(f"order r must be >= 1, got {r}")
+    _check_order(r)
     if len(a.states) != len(b.states):
         raise ValueError(
             f"trajectories have different lengths: {len(a.states)} vs {len(b.states)}"
@@ -338,8 +343,7 @@ def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> n
         raise ValueError(
             f"trees have different heights: {tree_a.height} vs {tree_b.height}"
         )
-    if r < 1.0:
-        raise ValueError(f"order r must be >= 1, got {r}")
+    _check_order(r)
     sa = tree_a.leaf_states
     sb = tree_b.leaf_states
     base = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2)

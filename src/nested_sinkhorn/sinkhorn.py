@@ -16,14 +16,13 @@ log-domain sweeps, in doubling blocks, wherever a Newton phase stops short
 of the tolerance.  It solves the stagewise subproblems of the nested
 recursion, and :func:`sinkhorn_auto` is a stack of one;
 :func:`sinkhorn` and :func:`sinkhorn_stabilized` are the two sweep loops
-alone.  Dual multipliers recovered from the scalings certify the result
-against the exact linear program.
+alone.  Every result carries the dual multipliers of its scalings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,14 +33,11 @@ __all__ = [
     "BOUND_SLACK",
     "BoundReport",
     "CheckResult",
-    "DualCertificate",
     "KernelUnderflowError",
     "SinkhornResult",
     "bound_certificates",
     "bounded_check",
-    "dual_from_scalings",
     "entropy",
-    "gibbs_kernel",
     "sinkhorn",
     "sinkhorn_auto",
     "sinkhorn_stabilized",
@@ -69,19 +65,20 @@ class SinkhornResult:
 
     ``d_s`` is the transport cost of the plan, ``entropy`` its Shannon
     entropy in nats and ``de_s = d_s - entropy / lam`` the full regularized
-    objective, which may be negative for small ``lam``.  The plan factors as
-    ``diag(scaling_row) @ exp(-lam * cost) @ diag(scaling_col)``; the log
-    scalings are kept alongside because the plain scalings can overflow in
-    extreme regimes.  ``iterations`` counts scaling sweeps and ``newton``
+    objective, which may be negative for small ``lam``.  ``dual_row`` and
+    ``dual_col`` are the dual multipliers ``(log scaling + 1/2) / lam``: the
+    plan is ``exp(lam * (dual_row[:, None] + dual_col[None, :] - cost) - 1)``,
+    the largest row multiplier is ``1 / (2 lam)``, the relaxed constraint
+    ``dual_row[i] + dual_col[j] <= cost[i, j] + 1/lam`` holds, and at the
+    fixed point ``p @ dual_row + q @ dual_col`` exceeds ``de_s`` by exactly
+    ``1 / lam``.  ``iterations`` counts scaling sweeps and ``newton``
     Newton steps; ``stabilized`` marks a solve whose first sweeps ran in the
     log domain.
     """
 
     plan: TransportPlan
-    scaling_row: np.ndarray
-    scaling_col: np.ndarray
-    log_scaling_row: np.ndarray
-    log_scaling_col: np.ndarray
+    dual_row: np.ndarray
+    dual_col: np.ndarray
     d_s: float
     entropy: float
     de_s: float
@@ -91,20 +88,6 @@ class SinkhornResult:
     converged: bool
     stabilized: bool = False
     newton: int = 0
-
-
-@dataclass
-class DualCertificate:
-    """Dual multipliers recovered from the scalings.
-
-    Feasible for the relaxed dual constraint ``beta_i + gamma_j <=
-    cost[i, j] + 1/lam`` and normalized so the Gibbs reconstruction of the
-    plan has unit mass.
-    """
-
-    beta: np.ndarray
-    gamma: np.ndarray
-    dual_value: float
 
 
 @dataclass
@@ -126,27 +109,11 @@ def bounded_check(name: str, value: float, upper: float, lower: float = -math.in
 
 @dataclass
 class BoundReport:
-    """Comparison of a regularized solution against the exact optimum."""
+    """The comparison checks of a regularized solution against the exact
+    optimum of one instance."""
 
-    d_w: float
-    d_s: float
-    de_s: float
-    entropy_regularized: float
-    entropy_exact: float
-    lam: float
-    checks: list[CheckResult] = field(default_factory=list)
-    all_passed: bool = True
-
-
-def gibbs_kernel(cost, lam: float) -> np.ndarray:
-    """Elementwise kernel ``exp(-lam * cost)``.
-
-    Doubling ``lam`` squares the kernel entrywise, so a kernel for one
-    regularization level can be reused for its multiples.
-    """
-    if lam <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {lam}")
-    return np.exp(-lam * np.asarray(cost, dtype=float))
+    checks: list[CheckResult]
+    all_passed: bool
 
 
 def _unit_range(x: np.ndarray) -> np.ndarray:
@@ -185,13 +152,18 @@ def _validate_inputs(p, q, cost, lam, tol, max_iter):
     return p, q, C
 
 
+def _check_lam(lam: float) -> None:
+    # written so that NaN fails it
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"regularization parameter must be positive and finite, got {lam}")
+
+
 def _validate_settings(C, lam, tol, max_iter):
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix must be finite")
-    if lam <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {lam}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_lam(lam)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
@@ -199,10 +171,8 @@ def _validate_settings(C, lam, tol, max_iter):
 @dataclass
 class _BatchResult:
     """Outcomes of a stack of problems, one entry per problem along the
-    leading axis.  The fields mirror :class:`SinkhornResult`; ``dual_row``
-    and ``dual_col`` are the multipliers of :func:`dual_from_scalings`.  The
-    log scalings are set by the scaling iteration only; ``newton`` counts
-    each problem's Newton steps."""
+    leading axis.  The fields mirror :class:`SinkhornResult`; ``newton``
+    counts each problem's Newton steps."""
 
     plan: np.ndarray
     d_s: np.ndarray
@@ -215,8 +185,6 @@ class _BatchResult:
     converged: np.ndarray
     stabilized: np.ndarray
     newton: np.ndarray
-    log_scaling_row: Optional[np.ndarray] = None
-    log_scaling_col: Optional[np.ndarray] = None
 
 
 def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -228,39 +196,34 @@ def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarr
 def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
               stabilized, newton=None) -> _BatchResult:
     """Results of a stack of solved problems, in either form, from the plans,
-    the logs of their entries and the log scalings."""
+    the logs of their entries and the log scalings, whose multipliers are
+    ``(log scaling + 1/2) / lam``.  Raises where a log scaling is not finite."""
     h = _stacked_entropy(plan, log_plan)
     d_s = (plan * C).sum(axis=(1, 2))
     marginal_error = _marginal_errors(plan, P, Q)
-    dual_row, dual_col = _scaling_duals(log_u, log_v, lam)
+    if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
+        raise ValueError("scalings must be positive and finite")
     return _BatchResult(
         plan=plan,
         d_s=d_s,
         entropy=h,
         de_s=d_s - h / lam,
-        dual_row=dual_row,
-        dual_col=dual_col,
+        dual_row=(log_u + 0.5) / lam,
+        dual_col=(log_v + 0.5) / lam,
         iterations=iterations,
         marginal_error=marginal_error,
         converged=marginal_error <= tol,
         stabilized=stabilized,
         newton=np.zeros(len(plan), dtype=int) if newton is None else newton,
-        log_scaling_row=log_u,
-        log_scaling_col=log_v,
     )
 
 
 def _single(batch: _BatchResult, p: np.ndarray, q: np.ndarray, lam: float) -> SinkhornResult:
     """The one problem of a stack of one as a :class:`SinkhornResult`."""
-    log_u, log_v = batch.log_scaling_row[0], batch.log_scaling_col[0]
-    # the plain scalings may overflow to inf in extreme regimes; the log
-    # fields are the reliable carriers there
-    with np.errstate(over="ignore"):
-        scaling_row, scaling_col = np.exp(log_u), np.exp(log_v)
     scalars = ("d_s", "entropy", "de_s", "iterations", "marginal_error", "converged", "stabilized",
                "newton")
-    return SinkhornResult(TransportPlan(batch.plan[0], p, q), scaling_row, scaling_col, log_u,
-                          log_v, lam=lam, **{name: getattr(batch, name)[0].item() for name in scalars})
+    return SinkhornResult(TransportPlan(batch.plan[0], p, q), batch.dual_row[0], batch.dual_col[0],
+                          lam=lam, **{name: getattr(batch, name)[0].item() for name in scalars})
 
 
 def _lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter: int):
@@ -554,8 +517,7 @@ def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
 
 def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
                     max_iter: int = 100_000) -> _BatchResult:
-    """:func:`sinkhorn_auto` followed by :func:`dual_from_scalings` on a stack
-    of same-shape problems at once.
+    """:func:`sinkhorn_auto` on a stack of same-shape problems at once.
 
     ``P`` is ``[B, m]``, ``Q`` is ``[B, n]`` and ``C`` is ``[B, m, n]``; the
     rows of ``P`` and ``Q`` must already be probability vectors with
@@ -613,26 +575,6 @@ def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
     return _finalize(P, Q, C, lam, tol, *solved, stabilized=stabilized, newton=newton)
 
 
-def _scaling_duals(log_u: np.ndarray, log_v: np.ndarray, lam: float):
-    if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
-        raise ValueError("scalings must be positive and finite")
-    return (log_u + 0.5) / lam, (log_v + 0.5) / lam
-
-
-def dual_from_scalings(result: SinkhornResult) -> DualCertificate:
-    """Recover dual multipliers from the scaling vectors.
-
-    Uses ``beta = (log(scaling_row) + 1/2) / lam`` and symmetrically for
-    ``gamma``; the reported ``dual_value`` is the marginal-weighted sum of
-    the multipliers, which exceeds the entropic objective by exactly
-    ``1 / lam`` at the fixed point.
-    """
-    beta, gamma = _scaling_duals(result.log_scaling_row, result.log_scaling_col, result.lam)
-    p = result.plan.row_marginal
-    q = result.plan.col_marginal
-    return DualCertificate(beta=beta, gamma=gamma, dual_value=float(p @ beta + q @ gamma))
-
-
 def bound_certificates(cost, sink: SinkhornResult, lp: LpSolution) -> BoundReport:
     """Check the comparison inequalities between the regularized and exact
     solutions of one instance, whose marginals and ``lam`` ``sink`` carries.
@@ -662,13 +604,4 @@ def bound_certificates(cost, sink: SinkhornResult, lp: LpSolution) -> BoundRepor
         bounded_check("plan entropy vs support size", h_s,
                       upper=math.log(p.size) + math.log(q.size), lower=0.0),
     ]
-    return BoundReport(
-        d_w=d_w,
-        d_s=sink.d_s,
-        de_s=sink.de_s,
-        entropy_regularized=h_s,
-        entropy_exact=h_w,
-        lam=lam,
-        checks=checks,
-        all_passed=all(c.passed for c in checks),
-    )
+    return BoundReport(checks, all(c.passed for c in checks))

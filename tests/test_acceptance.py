@@ -17,7 +17,6 @@ import pytest
 from conftest import height3_pair, random_tree_pair, split_timing_pair
 from nested_sinkhorn import (
     cost_matrix,
-    dual_from_scalings,
     flat_nested_lp,
     lambda_sweep,
     martingale_check,
@@ -125,23 +124,26 @@ def test_criterion_04_sandwich_inequalities():
     with criterion(4, "entropic <= exact <= regularized on the sweep"):
         for lam, reports in random_suite_reports().items():
             for report in reports:
-                assert report.converged
-                assert report.nde_s_pow <= report.nd_w_pow + SLACK, f"lam={lam}"
-                assert report.nd_w_pow <= report.nd_s_pow + SLACK, f"lam={lam}"
+                exact, sink = report.exact, report.regularized
+                assert sink.converged
+                assert sink.value_with_entropy_pow <= exact.value_pow + SLACK, f"lam={lam}"
+                assert exact.value_pow <= sink.value_pow + SLACK, f"lam={lam}"
 
 
 def test_criterion_05_quantitative_bounds():
     with criterion(5, "entropy gap bounds and support caps on the sweep"):
         for lam, reports in random_suite_reports().items():
             for report, (tree_a, tree_b) in zip(reports, random_suite()):
-                h_s = report.entropy_regularized
-                h_w = report.entropy_exact
-                assert report.nd_s_pow - report.nd_w_pow <= (h_s - h_w) / lam + SLACK
-                assert report.nd_w_pow - report.nde_s_pow <= h_s / lam + SLACK
+                exact, sink = report.exact, report.regularized
+                nd_w, nd_s, nde_s = (exact.value_pow, sink.value_pow,
+                                     sink.value_with_entropy_pow)
+                h_s = sink.total_entropy
+                h_w = exact.total_entropy
+                assert nd_s - nd_w <= (h_s - h_w) / lam + SLACK
+                assert nd_w - nde_s <= h_s / lam + SLACK
                 assert h_s <= math.log(tree_a.n_leaves) + math.log(tree_b.n_leaves) + SLACK
-                gap = max(report.nd_s_pow - report.nd_w_pow,
-                          report.nd_w_pow - report.nde_s_pow)
-                assert gap <= report.gap_bound + SLACK
+                gap = max(nd_s - nd_w, nd_w - nde_s)
+                assert gap <= report.checks[-1].upper + SLACK
 
 
 def test_criterion_06_convergence_shape_on_height3_pair():
@@ -211,16 +213,15 @@ def test_criterion_09_duality_certificates():
             for lam in (0.5, 2.0, 20.0):
                 res = sinkhorn_auto(p, q, cost, lam, tol=1e-12)
                 assert res.converged
-                cert = dual_from_scalings(res)
-                lhs = cert.beta[:, None] + cert.gamma[None, :]
+                lhs = res.dual_row[:, None] + res.dual_col[None, :]
                 assert np.all(lhs <= cost + 1.0 / lam + 1e-8)
                 mass = float(np.exp(-lam * (cost - lhs) - 1.0).sum())
                 assert mass == pytest.approx(1.0, abs=1e-8)
         one = np.array([1.0])
         for lam in (0.5, 3.0, 25.0):
             res = sinkhorn_auto(one, one, np.array([[1.7]]), lam, tol=1e-12)
-            cert = dual_from_scalings(res)
-            assert cert.dual_value - res.de_s == pytest.approx(1.0 / lam, abs=1e-12)
+            dual_value = one @ res.dual_row + one @ res.dual_col
+            assert dual_value - res.de_s == pytest.approx(1.0 / lam, abs=1e-12)
 
 
 def test_criterion_10_martingale_diagnostic():

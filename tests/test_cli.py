@@ -304,6 +304,47 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, setting, value, message", [
+        ("nested-sinkhorn", "--lambda", "nan", "regularization parameter"),
+        ("nested-sinkhorn", "--lambda", "inf", "regularization parameter"),
+        ("sinkhorn", "--lambda", "nan", "regularization parameter"),
+        ("nested-sinkhorn", "--tol", "nan", "tolerance"),
+        ("sinkhorn", "--tol", "inf", "tolerance"),
+        ("nested", "--r", "nan", "order r"),
+        ("nested-sinkhorn", "--r", "inf", "order r"),
+        ("wasserstein", "--r", "nan", "order r"),
+    ])
+    def test_non_finite_setting(self, tmp_path, capsys, command, setting, value, message):
+        path_a, path_b = write_pair(tmp_path, height3_pair())
+        assert main([command, "--tree-a", path_a, "--tree-b", path_b, setting, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and value in captured.err
+
+    @pytest.mark.parametrize("command, args", [
+        ("sweep", ["--lambdas", "1,nan"]),
+        ("sweep", ["--lambdas", "inf"]),
+        ("verify", ["--lambda", "nan"]),
+        ("bench", ["--lambda", "nan"]),
+    ])
+    def test_non_finite_lambda_fails_before_the_exact_solve(self, tmp_path, capsys, monkeypatch,
+                                                            command, args):
+        calls = []
+        monkeypatch.setattr(nested, "nested_exact", lambda *a, **k: calls.append(a))
+        path_a, path_b = write_pair(tmp_path, height3_pair())
+        trees = [] if command == "bench" else ["--tree-a", path_a, "--tree-b", path_b]
+        assert main([command, *trees, *args]) == 2
+        assert calls == []
+        assert "regularization parameter must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [",", ""])
+    def test_empty_lambda_grid_is_status_two(self, tmp_path, capsys, grid):
+        path_a, path_b = write_pair(tmp_path, height3_pair())
+        assert main(["sweep", "--tree-a", path_a, "--tree-b", path_b, "--lambdas", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambda grid must be non-empty" in captured.err
+
     def test_empty_bench_is_status_two(self, capsys):
         assert main(["bench", "--max-stages", "0"]) == 2
         assert "--max-stages >= 1" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from conftest import (
 from nested_sinkhorn import (
     conditional_marginal_residuals,
     cost_matrix,
-    dual_from_scalings,
     entropy,
     flat_nested_lp,
     generate_random_tree,
@@ -40,7 +39,6 @@ from nested_sinkhorn.nested import _lp_group
 
 # the package exports the function ``nested_sinkhorn``, which hides the package itself
 package = importlib.import_module("nested_sinkhorn")
-nested_module = importlib.import_module("nested_sinkhorn.nested")
 
 
 def stage_pairs(tree_a, tree_b, t):
@@ -316,7 +314,7 @@ class TestNestedSinkhorn:
 
 def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
     """Check every stage-table entry of a regularized result against
-    ``sinkhorn_auto`` plus ``dual_from_scalings`` on the same subproblem;
+    ``sinkhorn_auto`` on the same subproblem;
     returns the reference results."""
     T = len(res.stage_tables)
     # the last stage's nodes are the leaves, in leaf order
@@ -328,14 +326,13 @@ def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
             block = np.ix_(rows, cols)
             ref = sinkhorn_auto(prob_a[t + 1][rows], prob_b[t + 1][cols], nxt[block], lam,
                                 tol / T, max_iter)
-            duals = dual_from_scalings(ref)
             assert table.iterations[i, j] == ref.iterations
             assert table.converged[i, j] == ref.converged
             assert table.plan[block] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
             assert table.value[i, j] == pytest.approx(ref.de_s, rel=0, abs=1e-12)
             assert table.entropy[i, j] == pytest.approx(ref.entropy, rel=0, abs=1e-12)
-            assert table.dual_row[rows, j] == pytest.approx(duals.beta, rel=0, abs=1e-12)
-            assert table.dual_col[i, cols] == pytest.approx(duals.gamma, rel=0, abs=1e-12)
+            assert table.dual_row[rows, j] == pytest.approx(ref.dual_row, rel=0, abs=1e-12)
+            assert table.dual_col[i, cols] == pytest.approx(ref.dual_col, rel=0, abs=1e-12)
             refs.append(ref)
     return refs
 
@@ -449,20 +446,40 @@ class TestBoundReport:
         tree_a, tree_b = height3_pair()
         report = nested_bound_report(tree_a, tree_b, 1.0, 20.0)
         assert report.all_passed, [c for c in report.checks if not c.passed]
-        assert report.max_branching_a == 2
-        assert report.max_branching_b == 3
-        assert report.gap_bound == pytest.approx(3.0 * math.log(6.0) / 20.0, rel=1e-12)
-        assert report.gap_bound == pytest.approx(0.2687639204, abs=1e-9)
-        assert report.nd_s_pow - report.nd_w_pow <= report.gap_bound + 1e-8
-        assert report.nd_w_pow - report.nde_s_pow <= report.gap_bound + 1e-8
+        # the largest branching is 2 in A and 3 in B
+        cap = report.checks[-1].upper
+        assert cap == pytest.approx(3.0 * math.log(2.0 * 3.0) / 20.0, rel=1e-12)
+        assert cap == pytest.approx(0.2687639204, abs=1e-9)
+        exact, sink = report.exact, report.regularized
+        assert sink.value_pow - exact.value_pow <= cap + 1e-8
+        assert exact.value_pow - sink.value_with_entropy_pow <= cap + 1e-8
 
     def test_identical_path_trees(self):
         tree = path_tree([0.0, 1.0, 2.0])
         report = nested_bound_report(tree, tree, 1.0, 4.0)
         assert report.all_passed
-        assert report.nd_s_pow == pytest.approx(0.0, abs=1e-12)
-        assert report.nde_s_pow == pytest.approx(0.0, abs=1e-12)
-        assert report.nd_w_pow == pytest.approx(0.0, abs=1e-12)
+        assert report.regularized.value_pow == pytest.approx(0.0, abs=1e-12)
+        assert report.regularized.value_with_entropy_pow == pytest.approx(0.0, abs=1e-12)
+        assert report.exact.value_pow == pytest.approx(0.0, abs=1e-12)
+
+    def test_checks_read_the_two_runs(self):
+        tree_a, tree_b = height3_pair()  # largest branching 2 in A, 3 in B
+        lam = 5.0
+        report = nested_bound_report(tree_a, tree_b, 1.0, lam)
+        exact, sink = report.exact, report.regularized
+        assert (exact.method, sink.method, sink.lam) == ("exact", "sinkhorn", lam)
+        assert exact.tree_a is sink.tree_a is tree_a and exact.tree_b is sink.tree_b is tree_b
+        nd_w, nd_s, nde_s = exact.value_pow, sink.value_pow, sink.value_with_entropy_pow
+        h_s, h_w = sink.total_entropy, exact.total_entropy
+        expected = [
+            (nde_s, nd_w, nd_s),
+            (-math.inf, nd_s - nd_w, (h_s - h_w) / lam),
+            (-math.inf, nd_w - nde_s, h_s / lam),
+            (-math.inf, max(nd_s - nd_w, nd_w - nde_s),
+             tree_a.height * (math.log(2.0) + math.log(3.0)) / lam),
+        ]
+        assert [(c.lower, c.value, c.upper) for c in report.checks] == expected
+        assert report.all_passed == (sink.converged and all(c.passed for c in report.checks))
 
     @pytest.mark.parametrize("lam", [1.0, 10.0])
     def test_random_binary_pairs(self, lam):
@@ -472,7 +489,7 @@ class TestBoundReport:
             # flat oracle confirms the exact value used inside the report
             flat_value, _ = flat_nested_lp(tree_a, tree_b, 1.0)
             report = nested_bound_report(tree_a, tree_b, 1.0, lam)
-            assert report.nd_w == pytest.approx(flat_value, abs=1e-8)
+            assert report.exact.value == pytest.approx(flat_value, abs=1e-8)
             assert report.all_passed, [c for c in report.checks if not c.passed]
 
 
@@ -535,13 +552,22 @@ class TestLambdaSweep:
             lambda_sweep(early, late, 1.0, [1.0, -2.0])
         with pytest.raises(ValueError, match="non-empty"):
             lambda_sweep(early, late, 1.0, [])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                lambda_sweep(early, late, 1.0, [1.0, bad])
+            with pytest.raises(ValueError, match="positive and finite"):
+                nested_bound_report(early, late, 1.0, bad)
 
 
 def test_module_exports_match_package():
-    # ``nested.__all__`` lists exactly the names the package imports from it
+    # each submodule's ``__all__`` lists exactly the names the package
+    # imports from it, and the package exports those names and no others
     source = Path(package.__file__).read_text(encoding="utf-8")
-    imported = {alias.name for node in ast.parse(source).body
-                if isinstance(node, ast.ImportFrom) and node.module == "nested"
-                for alias in node.names}
-    assert imported == set(nested_module.__all__)
-    assert imported <= set(package.__all__)
+    exported = set()
+    for name in ("nested", "scenario_tree", "sinkhorn", "transport"):
+        imported = {alias.name for node in ast.parse(source).body
+                    if isinstance(node, ast.ImportFrom) and node.module == name
+                    for alias in node.names}
+        assert imported == set(importlib.import_module(f"nested_sinkhorn.{name}").__all__), name
+        exported |= imported
+    assert set(package.__all__) == exported

@@ -235,6 +235,15 @@ class TestGroundCost:
         with pytest.raises(ValueError, match="order r"):
             ground_cost(t, t, 0.5)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_order_rejected(self, r):
+        tree = path_tree([0.0, 1.0])
+        t = trajectories(tree)[0]
+        with pytest.raises(ValueError, match="order r must be >= 1 and finite"):
+            ground_cost(t, t, r)
+        with pytest.raises(ValueError, match="order r must be >= 1 and finite"):
+            cost_matrix(tree, tree, r)
+
     def test_triangle_inequality_for_order_one(self):
         rng = np.random.default_rng(42)
         trees = [generate_random_tree([1, 2, 2], seed) for seed in range(6)]

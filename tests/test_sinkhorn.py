@@ -9,9 +9,7 @@ import pytest
 from nested_sinkhorn import (
     KernelUnderflowError,
     bound_certificates,
-    dual_from_scalings,
     entropy,
-    gibbs_kernel,
     sinkhorn,
     sinkhorn_auto,
     sinkhorn_stabilized,
@@ -25,6 +23,12 @@ sinkhorn_module = importlib.import_module("nested_sinkhorn.sinkhorn")
 
 HALF = np.array([0.5, 0.5])
 FLIP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def gibbs_plan(res, cost):
+    """The plan rebuilt from a result's multipliers."""
+    lam = res.lam
+    return np.exp(lam * (res.dual_row[:, None] + res.dual_col[None, :] - cost) - 1.0)
 
 
 def symmetric_plan(lam):
@@ -63,9 +67,8 @@ class TestSinkhornPlain:
         q = rng.dirichlet(np.ones(5))
         cost = rng.uniform(0.0, 3.0, size=(4, 5))
         res = sinkhorn(p, q, cost, lam=2.0, tol=1e-11)
-        rebuilt = res.scaling_row[:, None] * gibbs_kernel(cost, 2.0) * res.scaling_col[None, :]
-        assert np.abs(rebuilt / res.plan.matrix - 1.0).max() < 1e-10
-        assert res.scaling_row.max() == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(gibbs_plan(res, cost) / res.plan.matrix - 1.0).max() < 1e-10
+        assert res.dual_row.max() == pytest.approx(0.5 / 2.0, abs=1e-15 / 2.0)
 
     def test_strictly_positive_plan(self):
         rng = np.random.default_rng(5)
@@ -87,20 +90,23 @@ class TestSinkhornPlain:
     def test_fixed_point_stability(self):
         # one more update pair moves the scalings only at tolerance scale;
         # a row-sum error of tol shifts the row scaling by at most
-        # tol / (p_i - tol) relative, and the column update follows suit
+        # tol / (p_i - tol) relative, and the column update follows suit.
+        # On the plan rebuilt from the multipliers, the row update scales
+        # row i by p_i / (row sum i) and the column update column j by
+        # q_j / (column sum j of the row-updated plan)
         rng = np.random.default_rng(7)
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
         cost = rng.uniform(0.0, 3.0, size=(4, 4))
         tol = 1e-11
         res = sinkhorn(p, q, cost, lam=3.0, tol=tol)
-        K = gibbs_kernel(cost, 3.0)
-        u = p / (K @ res.scaling_col)
-        v = q / (K.T @ u)
+        plan = gibbs_plan(res, cost)
+        row_ratio = p / plan.sum(axis=1)
+        col_ratio = q / (plan.T @ row_ratio)
         row_bound = tol / (p.min() - tol) * 1.01
         col_bound = tol / (q.min() - tol) * 2.0
-        assert np.abs(u / res.scaling_row - 1.0).max() <= row_bound
-        assert np.abs(v / res.scaling_col - 1.0).max() <= col_bound
+        assert np.abs(row_ratio - 1.0).max() <= row_bound
+        assert np.abs(col_ratio - 1.0).max() <= col_bound
 
     def test_max_iter_flagging(self):
         # asymmetric, weakly regularized: far from converged after 3 sweeps
@@ -120,6 +126,14 @@ class TestSinkhornPlain:
             sinkhorn(HALF, HALF, FLIP_COST, lam=0.0)
         with pytest.raises(ValueError, match="positive"):
             sinkhorn(HALF, HALF, FLIP_COST, lam=-2.0)
+
+    @pytest.mark.parametrize("solver", [sinkhorn, sinkhorn_stabilized, sinkhorn_auto])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_settings(self, solver, bad):
+        with pytest.raises(ValueError, match="regularization parameter must be positive"):
+            solver(HALF, HALF, FLIP_COST, lam=bad)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            solver(HALF, HALF, FLIP_COST, lam=1.0, tol=bad)
 
 
 class TestSinkhornStabilized:
@@ -223,27 +237,25 @@ def assert_newton_contract(p, q, cost, lam, tol, plan, de_s, dual_row, dual_col,
     hessian = np.block([[np.diag(x.sum(axis=1)), x], [x.T, np.diag(x.sum(axis=0))]])
     gap = np.linalg.eigvalsh(hessian)[1]
     shift = 2.0 * math.sqrt(m + n) * (tol + ref_tol) / gap
-    duals = dual_from_scalings(ref)
-    spread = max(np.ptp(duals.beta), np.ptp(duals.gamma))
+    spread = max(np.ptp(ref.dual_row), np.ptp(ref.dual_col))
     assert abs(de_s - ref.de_s) <= (m + n) * (tol + ref_tol) * spread
     # an entry moves with one row and one column potential
     assert np.abs(plan - x).max() <= math.expm1(2.0 * shift) * x.max()
     # the gauge (largest row potential zero) moves the duals by up to the shift again
-    assert np.abs(dual_row - duals.beta).max() <= 2.0 * shift / lam
-    assert np.abs(dual_col - duals.gamma).max() <= 2.0 * shift / lam
+    assert np.abs(dual_row - ref.dual_row).max() <= 2.0 * shift / lam
+    assert np.abs(dual_col - ref.dual_col).max() <= 2.0 * shift / lam
 
 
 def assert_same_as_alone(batch, k, alone, atol):
     """Problem ``k`` of a stack got the result ``alone``, its solve at B=1."""
-    duals = dual_from_scalings(alone)
     assert batch.iterations[k] == alone.iterations
     assert batch.newton[k] == alone.newton
     assert batch.converged[k] == alone.converged
     assert batch.stabilized[k] == alone.stabilized
     assert batch.plan[k] == pytest.approx(alone.plan.matrix, rel=0, abs=atol)
     assert batch.de_s[k] == pytest.approx(alone.de_s, rel=0, abs=atol)
-    assert batch.dual_row[k] == pytest.approx(duals.beta, rel=0, abs=atol)
-    assert batch.dual_col[k] == pytest.approx(duals.gamma, rel=0, abs=atol)
+    assert batch.dual_row[k] == pytest.approx(alone.dual_row, rel=0, abs=atol)
+    assert batch.dual_col[k] == pytest.approx(alone.dual_col, rel=0, abs=atol)
 
 
 def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
@@ -278,12 +290,13 @@ class TestPlainIteration:
     batched plain loop must follow ``plain_reference`` sweep for sweep."""
 
     @staticmethod
-    def assert_same(ref, plan, log_u, log_v, iterations, converged):
+    def assert_same(ref, plan, dual_row, dual_col, iterations, converged):
+        # 1e-12 on the log scalings is 1e-12 / lam on the multipliers
         assert iterations == ref.iterations
         assert converged == ref.converged
         assert plan == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
-        assert log_u == pytest.approx(ref.log_scaling_row, rel=0, abs=1e-12)
-        assert log_v == pytest.approx(ref.log_scaling_col, rel=0, abs=1e-12)
+        assert dual_row == pytest.approx(ref.dual_row, rel=0, abs=1e-12 / ref.lam)
+        assert dual_col == pytest.approx(ref.dual_col, rel=0, abs=1e-12 / ref.lam)
 
     @pytest.mark.parametrize("max_iter", [1, 3, 100_000])
     def test_flat_and_batched_paths(self, max_iter):
@@ -299,19 +312,18 @@ class TestPlainIteration:
         assert not batch.stabilized.any()
         for k, ((p, q, cost), ref) in enumerate(zip(problems, refs)):
             flat = sinkhorn(p, q, cost, lam, tol, max_iter)
-            self.assert_same(ref, flat.plan.matrix, flat.log_scaling_row, flat.log_scaling_col,
+            self.assert_same(ref, flat.plan.matrix, flat.dual_row, flat.dual_col,
                              flat.iterations, flat.converged)
             auto = sinkhorn_auto(p, q, cost, lam, tol, max_iter)
             assert not flat.stabilized and not auto.stabilized
             assert_same_as_alone(batch, k, auto, 1e-12)
             if ref.iterations <= _SWEEP_BLOCK:
                 assert auto.newton == 0
-                self.assert_same(ref, auto.plan.matrix, auto.log_scaling_row,
-                                 auto.log_scaling_col, auto.iterations, auto.converged)
+                self.assert_same(ref, auto.plan.matrix, auto.dual_row, auto.dual_col,
+                                 auto.iterations, auto.converged)
             else:
-                duals = dual_from_scalings(auto)
                 assert_newton_contract(p, q, cost, lam, tol, auto.plan.matrix, auto.de_s,
-                                       duals.beta, duals.gamma, auto.marginal_error)
+                                       auto.dual_row, auto.dual_col, auto.marginal_error)
         if max_iter > 3:
             # every problem leaves the stack on its own sweep, and both
             # kinds of problem are in it
@@ -343,10 +355,10 @@ class TestAbsorbedIteration:
         assert res.stabilized
         atol = 1e-12 * max(1.0, float(np.abs(lam * cost).max()))
         assert res.plan.matrix == pytest.approx(ref.plan.matrix, rel=0, abs=atol)
-        assert res.log_scaling_row == pytest.approx(ref.log_scaling_row, rel=0, abs=atol)
-        assert res.log_scaling_col == pytest.approx(ref.log_scaling_col, rel=0, abs=atol)
+        assert res.dual_row == pytest.approx(ref.dual_row, rel=0, abs=atol / lam)
+        assert res.dual_col == pytest.approx(ref.dual_col, rel=0, abs=atol / lam)
         assert res.de_s == pytest.approx(ref.de_s, rel=0, abs=atol)
-        assert res.log_scaling_row.max() == 0.0
+        assert res.dual_row.max() == 0.5 / lam
         return res
 
     @pytest.mark.parametrize("magnitude", [10.0, 1e2, 1e3, 1e4, 1e5])
@@ -427,7 +439,7 @@ class TestAbsorbedIteration:
         for k, ((p, q, cost), alone) in enumerate(zip(problems, singles)):
             atol = 1e-12 * max(1.0, float(np.abs(lam * cost).max()))
             assert_same_as_alone(batch, k, alone, atol)
-            assert batch.log_scaling_row[k].max() == 0.0
+            assert batch.dual_row[k].max() == 0.5 / lam
             assert alone.iterations > _SWEEP_BLOCK and alone.newton > 0
         assert batch.converged.tolist() == [True, True, False]
         for k in range(2):
@@ -450,14 +462,13 @@ class TestSinkhornBatch:
         assert batch.stabilized.tolist() == [True, False]
         for k in range(2):
             ref = sinkhorn_auto(P[k], Q[k], C[k], lam=1.0, tol=1e-12)
-            duals = dual_from_scalings(ref)
             assert ref.stabilized == batch.stabilized[k]
             assert batch.iterations[k] == ref.iterations
             assert batch.converged[k] == ref.converged
             assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
             assert batch.de_s[k] == pytest.approx(ref.de_s, rel=0, abs=1e-12)
-            assert batch.dual_row[k] == pytest.approx(duals.beta, rel=0, abs=1e-12)
-            assert batch.dual_col[k] == pytest.approx(duals.gamma, rel=0, abs=1e-12)
+            assert batch.dual_row[k] == pytest.approx(ref.dual_row, rel=0, abs=1e-12)
+            assert batch.dual_col[k] == pytest.approx(ref.dual_col, rel=0, abs=1e-12)
 
     def test_normalization_underflow_matches_stabilized(self):
         # max|lam * C| = 514 keeps the plain iteration, which converges, but
@@ -471,12 +482,11 @@ class TestSinkhornBatch:
         ref = sinkhorn_stabilized(p, q, C, lam=1.0)
         assert ref.converged and ref.iterations > _SWEEP_BLOCK
         auto = sinkhorn_auto(p, q, C, lam=1.0)
-        duals = dual_from_scalings(auto)
         assert auto.stabilized and auto.converged and auto.newton > 0
         # the log-domain sweeps need more than one sweep block, so Newton
         # steps finish the problem
-        assert_newton_contract(p, q, C, 1.0, 1e-9, auto.plan.matrix, auto.de_s, duals.beta,
-                               duals.gamma, auto.marginal_error)
+        assert_newton_contract(p, q, C, 1.0, 1e-9, auto.plan.matrix, auto.de_s, auto.dual_row,
+                               auto.dual_col, auto.marginal_error)
         # a mild second problem keeps the plain lockstep path in the batch
         batch = _sinkhorn_batch(np.stack([p, q]), np.stack([q, p]),
                                 np.stack([C, 1.0 - np.eye(3)]), lam=1.0)
@@ -540,9 +550,8 @@ class TestNewtonFinish:
             if alone.iterations < _SWEEP_BLOCK:
                 kinds.add("swept")
                 ref = plain_reference(p, q, cost, lam, tol)
-                TestPlainIteration.assert_same(ref, alone.plan.matrix, alone.log_scaling_row,
-                                               alone.log_scaling_col, alone.iterations,
-                                               alone.converged)
+                TestPlainIteration.assert_same(ref, alone.plan.matrix, alone.dual_row,
+                                               alone.dual_col, alone.iterations, alone.converged)
             else:
                 kinds.add("newton" if alone.iterations == _SWEEP_BLOCK else "resumed")
                 assert_newton_contract(p, q, cost, lam, tol, batch.plan[k], batch.de_s[k],
@@ -586,9 +595,8 @@ class TestNewtonFinish:
         assert res.converged and res.newton > 0
         # Newton steps finish it without another sweep block
         assert res.iterations == _SWEEP_BLOCK
-        duals = dual_from_scalings(res)
-        assert_newton_contract(p, q, cost, lam, tol, res.plan.matrix, res.de_s, duals.beta,
-                               duals.gamma, res.marginal_error)
+        assert_newton_contract(p, q, cost, lam, tol, res.plan.matrix, res.de_s, res.dual_row,
+                               res.dual_col, res.marginal_error)
 
 
 class TestEntropy:
@@ -610,39 +618,38 @@ class TestEntropy:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             entropy(np.array([[1.2, 0.0], [0.0, -0.2]]))
 
-    def test_kernel_power_identity(self):
-        rng = np.random.default_rng(1)
-        cost = rng.uniform(0.0, 5.0, size=(4, 4))
-        assert np.abs(gibbs_kernel(cost, 2.0) - gibbs_kernel(cost, 1.0) ** 2).max() < 1e-12
-
 
 class TestDualCertificate:
+    """The multipliers ``dual_row``, ``dual_col`` of a result certify it."""
+
     def test_symmetric_instance(self):
         res = sinkhorn(HALF, HALF, FLIP_COST, lam=1.0, tol=1e-13)
-        cert = dual_from_scalings(res)
         # multipliers are symmetric within each side; across sides they agree
         # only up to the reporting gauge (max row scaling = 1), which shifts
-        # beta and gamma by opposite constants and leaves beta_i + gamma_j,
-        # and hence the dual value, unchanged
-        assert cert.beta[0] == pytest.approx(cert.beta[1], abs=1e-10)
-        assert cert.gamma[0] == pytest.approx(cert.gamma[1], abs=1e-10)
+        # the two sides by opposite constants and leaves dual_row[i] +
+        # dual_col[j], and hence the dual value, unchanged
+        assert res.dual_row[0] == pytest.approx(res.dual_row[1], abs=1e-10)
+        assert res.dual_col[0] == pytest.approx(res.dual_col[1], abs=1e-10)
         # the marginal-weighted multiplier sum sits exactly 1/lam above the
         # entropic objective at the fixed point
-        assert cert.dual_value - 1.0 == pytest.approx(res.de_s, abs=1e-8)
+        assert HALF @ res.dual_row + HALF @ res.dual_col - 1.0 == pytest.approx(res.de_s,
+                                                                                abs=1e-8)
 
     def test_1x1_gap_is_inverse_lambda(self):
         p = np.array([1.0])
         for lam in (0.5, 2.0, 7.0):
             res = sinkhorn(p, p, np.array([[0.7]]), lam=lam)
-            cert = dual_from_scalings(res)
-            assert cert.beta[0] + cert.gamma[0] == pytest.approx(0.7 + 1.0 / lam, abs=1e-12)
-            assert cert.dual_value - res.de_s == pytest.approx(1.0 / lam, abs=1e-12)
+            assert res.dual_row[0] + res.dual_col[0] == pytest.approx(0.7 + 1.0 / lam, abs=1e-12)
+            dual_value = p @ res.dual_row + p @ res.dual_col
+            assert dual_value - res.de_s == pytest.approx(1.0 / lam, abs=1e-12)
 
     def test_rejects_degenerate_scalings(self):
-        res = sinkhorn(HALF, HALF, FLIP_COST, lam=1.0)
-        res.log_scaling_row = np.array([np.nan, 0.0])
+        # _finalize turns the log scalings into multipliers only where finite
+        plan = symmetric_plan(1.0)[None]
         with pytest.raises(ValueError, match="positive"):
-            dual_from_scalings(res)
+            _finalize(HALF[None], HALF[None], FLIP_COST[None], 1.0, 1e-9, plan, np.log(plan),
+                      np.array([[np.nan, 0.0]]), np.zeros((1, 2)), np.array([1]),
+                      np.array([False]))
 
     def test_feasibility_and_normalization(self):
         rng = np.random.default_rng(9)
@@ -654,11 +661,10 @@ class TestDualCertificate:
             cost = rng.uniform(0.0, 4.0, size=(n, m))
             lam = float(rng.uniform(0.5, 20.0))
             res = sinkhorn_auto(p, q, cost, lam, tol=1e-12)
-            cert = dual_from_scalings(res)
-            lhs = cert.beta[:, None] + cert.gamma[None, :]
+            lhs = res.dual_row[:, None] + res.dual_col[None, :]
             assert np.all(lhs <= cost + 1.0 / lam + 1e-8)
-            gibbs_mass = np.exp(-lam * (cost - lhs) - 1.0).sum()
-            assert gibbs_mass == pytest.approx(1.0, abs=1e-8)
+            assert gibbs_plan(res, cost).sum() == pytest.approx(1.0, abs=1e-8)
+            assert res.dual_row.max() == 0.5 / lam
 
 
 class TestBoundCertificates:
@@ -668,16 +674,24 @@ class TestBoundCertificates:
         return bound_certificates(cost, sink, lp)
 
     def test_symmetric_instance(self):
-        report = self.run_instance(HALF, HALF, FLIP_COST, 1.0)
+        sink = sinkhorn_auto(HALF, HALF, FLIP_COST, 1.0, tol=1e-12)
+        lp = solve_transport_lp(HALF, HALF, FLIP_COST)
+        report = bound_certificates(FLIP_COST, sink, lp)
         assert report.all_passed
-        assert report.d_w == pytest.approx(0.0, abs=1e-15)
+        assert lp.value == pytest.approx(0.0, abs=1e-15)
         expected = symmetric_plan(1.0)
         h = entropy(expected)
-        assert report.entropy_regularized == pytest.approx(h, abs=1e-10)
-        assert report.d_s == pytest.approx(2 * expected[0, 1], abs=1e-10)
-        assert report.de_s == pytest.approx(report.d_s - h, abs=1e-10)
+        assert sink.entropy == pytest.approx(h, abs=1e-10)
+        assert sink.d_s == pytest.approx(2 * expected[0, 1], abs=1e-10)
+        assert sink.de_s == pytest.approx(sink.d_s - h, abs=1e-10)
         # here the objective gap equals the entropy up to the cost term
-        assert report.d_w - report.de_s <= h + 1e-10
+        assert lp.value - sink.de_s <= h + 1e-10
+        # the checks read the two solutions
+        cost_gap, objective_gap = report.checks[:2]
+        assert cost_gap.value == sink.d_s - lp.value
+        assert cost_gap.upper == (sink.entropy - entropy(lp.plan.matrix)) / sink.lam
+        assert objective_gap.value == lp.value - sink.de_s
+        assert objective_gap.upper == sink.entropy / sink.lam
 
     def test_1x1_instance(self):
         one = np.array([1.0])
