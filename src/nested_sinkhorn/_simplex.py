@@ -20,6 +20,7 @@ _PIVOT_TOL = 1e-9          # smallest usable pivot element
 _RATIO_WINDOW = 1e-9       # relative slack when collecting near-minimal ratios
 _B_DUST = 1e-10            # negative rhs magnitudes treated as rounding dust
 _DEGENERATE_SWITCH = 300   # consecutive zero-step pivots before Bland's rule kicks in
+_MAX_PIVOTS = 200_000      # cap on pivots per phase
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -45,10 +46,9 @@ def _clean_rhs(T: np.ndarray) -> None:
     np.maximum(rhs, 0.0, out=rhs)
 
 
-def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, n_enterable: int,
-                max_pivots: int) -> None:
+def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, n_enterable: int) -> None:
     degenerate = 0
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         reduced = obj[:n_enterable]
         bland = degenerate >= _DEGENERATE_SWITCH
         if bland:
@@ -77,7 +77,7 @@ def _pivot_loop(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, n_enterable: 
     raise RuntimeError("simplex exceeded the pivot limit")
 
 
-def solve_lp(c, A, b, *, max_pivots: int = 200_000) -> tuple[np.ndarray, float]:
+def solve_lp(c, A, b) -> tuple[np.ndarray, float]:
     """Minimize ``c @ x`` subject to ``A @ x = b`` and ``x >= 0``.
 
     Returns ``(x, value)`` at an optimal vertex.  Raises ``ValueError`` if
@@ -104,7 +104,7 @@ def solve_lp(c, A, b, *, max_pivots: int = 200_000) -> tuple[np.ndarray, float]:
     obj = np.zeros(n + m + 1)
     obj[:n] = -A.sum(axis=0)
     obj[-1] = -b.sum()
-    _pivot_loop(T, obj, basis, n + m, max_pivots)
+    _pivot_loop(T, obj, basis, n + m)
     residual = float(sum(T[row, -1] for row in range(basis.size) if basis[row] >= n))
     if residual > 1e-8:
         raise ValueError(f"LP infeasible (artificial residual {residual:.3e})")
@@ -131,7 +131,7 @@ def solve_lp(c, A, b, *, max_pivots: int = 200_000) -> tuple[np.ndarray, float]:
         coef = obj[var]
         if coef != 0.0:
             obj -= coef * T[row]
-    _pivot_loop(T, obj, basis, n, max_pivots)
+    _pivot_loop(T, obj, basis, n)
 
     x = _basic_point(T, basis, n)
     return x, float(c @ x)

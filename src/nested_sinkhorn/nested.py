@@ -26,8 +26,8 @@ import numpy as np
 
 from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
-from .sinkhorn import (CheckResult, _BatchResult, _check_lam, _marginal_errors, _sinkhorn_batch,
-                       _stacked_entropy, bounded_check, entropy)
+from .sinkhorn import (CheckResult, _BatchResult, _check_settings, _marginal_errors,
+                       _sinkhorn_batch, _stacked_entropy, bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
 __all__ = [
@@ -341,6 +341,7 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     times unconverged flags the whole result as unconverged instead of
     raising.
     """
+    _check_settings(lam, tol, max_iter)
     # the solver reads tol / T once the driver has checked that T >= 1
     return _recursion(tree_a, tree_b, r,
                       lambda P, Q, C: _sinkhorn_batch(P, Q, C, lam, tol / tree_a.height, max_iter),
@@ -522,7 +523,7 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
     the trees.  The regularized run takes :data:`BOUND_TOL` and
     :data:`BOUND_MAX_ITER`; the cap is the ``upper`` of the last check.
     """
-    _check_lam(lam)
+    _check_settings(lam, BOUND_TOL, BOUND_MAX_ITER)
     exact = nested_exact(tree_a, tree_b, r)
     sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=BOUND_TOL, max_iter=BOUND_MAX_ITER)
     nd_w = exact.value_pow
@@ -635,7 +636,7 @@ def lambda_sweep(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     if not lambdas:
         raise ValueError("lambda grid must be non-empty")
     for lam in lambdas:
-        _check_lam(lam)
+        _check_settings(lam, tol, max_iter)
     start = time.perf_counter()
     exact = nested_exact(tree_a, tree_b, r)
     exact_time = time.perf_counter() - start

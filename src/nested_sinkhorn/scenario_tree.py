@@ -337,7 +337,8 @@ def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> n
     """Dense matrix of pairwise trajectory costs ``ground_cost(a_i, b_j, r)``.
 
     Rows follow ``tree_a``'s leaf order, columns ``tree_b``'s.  Trees of
-    different heights are rejected here and nowhere else.
+    different heights are rejected here and nowhere else, and so are costs
+    that overflow the float range.
     """
     if tree_a.height != tree_b.height:
         raise ValueError(
@@ -346,8 +347,11 @@ def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> n
     _check_order(r)
     sa = tree_a.leaf_states
     sb = tree_b.leaf_states
-    base = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2)
-    return base**r
+    with np.errstate(over="ignore"):
+        cost = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2) ** r
+    if not np.all(np.isfinite(cost)):
+        raise ValueError(f"trajectory costs overflow the float range at order r={r}")
+    return cost
 
 
 def generate_random_tree(branching: Sequence[int], seed: int) -> ScenarioTree:

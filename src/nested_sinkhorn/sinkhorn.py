@@ -14,14 +14,14 @@ finishes the problems still unconverged by damped Newton steps on the
 semi-dual (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635), going back to
 log-domain sweeps, in doubling blocks, wherever a Newton phase stops short
 of the tolerance.  It solves the stagewise subproblems of the nested
-recursion, and :func:`sinkhorn_auto` is a stack of one;
-:func:`sinkhorn` and :func:`sinkhorn_stabilized` are the two sweep loops
-alone.  Every result carries the dual multipliers of its scalings.
+recursion, and :func:`sinkhorn_auto`, the one flat solver, is a stack of
+one.  Every result carries the dual multipliers of its scalings.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,30 +33,22 @@ __all__ = [
     "BOUND_SLACK",
     "BoundReport",
     "CheckResult",
-    "KernelUnderflowError",
     "SinkhornResult",
     "bound_certificates",
     "bounded_check",
     "entropy",
-    "sinkhorn",
     "sinkhorn_auto",
-    "sinkhorn_stabilized",
 ]
 
 STABILIZE_THRESHOLD = 600.0  # |lam * cost| beyond which exp() risks under/overflow
 BOUND_SLACK = 1e-8           # tolerance granted to every checked inequality
-_ABSORB_RANGE = (1e-30, 1e30)  # sinkhorn_stabilized keeps its scalings strictly inside
+_ABSORB_RANGE = (1e-30, 1e30)  # the log-domain loop keeps its scalings strictly inside
 _SWEEP_BLOCK = 50     # sweeps before a problem's first Newton phase; later blocks double
 _NEWTON_CAP = 8.0     # largest change of a log potential in one Newton step
 _ARMIJO = 1e-4        # sufficient increase of the semi-dual objective along a step
 _LINE_SEARCH = 30     # step halvings before a Newton step is given up
 _PHASE_STEPS = 200    # Newton steps in one phase at most
 _RIDGE = 1e-12        # added to the unit diagonal of the scaled Newton system
-
-
-class KernelUnderflowError(FloatingPointError):
-    """The multiplicative iteration lost a kernel product or a row scaling
-    to underflow; switch to the log-domain variant (``sinkhorn_stabilized``)."""
 
 
 @dataclass
@@ -148,24 +140,20 @@ def _validate_inputs(p, q, cost, lam, tol, max_iter):
     C = np.asarray(cost, dtype=float)
     if C.shape != (p.size, q.size):
         raise ValueError(f"cost shape {C.shape} does not match marginals ({p.size}, {q.size})")
-    _validate_settings(C, lam, tol, max_iter)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("cost matrix must be finite")
+    _check_settings(lam, tol, max_iter)
     return p, q, C
 
 
-def _check_lam(lam: float) -> None:
-    # written so that NaN fails it
+def _check_settings(lam: float, tol: float, max_iter: int) -> None:
+    """The rules on the solver settings, each written so that NaN fails it."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"regularization parameter must be positive and finite, got {lam}")
-
-
-def _validate_settings(C, lam, tol, max_iter):
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix must be finite")
-    _check_lam(lam)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
 
 
 @dataclass
@@ -464,42 +452,6 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
     return f_out, g_out, steps, converged
 
 
-def sinkhorn(p, q, cost, lam: float, tol: float = 1e-9, max_iter: int = 100_000) -> SinkhornResult:
-    """Multiplicative scaling iteration on the kernel ``exp(-lam * cost)``.
-
-    Alternates row and column scaling updates from an all-ones column
-    scaling until the max-norm marginal violation drops to ``tol`` or
-    ``max_iter`` update pairs have run (then ``converged`` is False).  This
-    is the plain batched iteration on a stack of one.  Raises
-    :class:`KernelUnderflowError` when a kernel product vanishes or
-    overflows, or a row scaling underflows to zero once the largest is
-    normalized to one; use :func:`sinkhorn_stabilized` there.
-    """
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
-    P, Q, C = p[None], q[None], C[None]
-    *solved, failed = _lockstep(-lam * C, P, Q, tol, max_iter)
-    if failed[0]:
-        raise KernelUnderflowError(
-            "the plain scaling iteration underflowed; switch to sinkhorn_stabilized"
-        )
-    return _single(_finalize(P, Q, C, lam, tol, *solved, stabilized=np.zeros(1, dtype=bool)),
-                   p, q, lam)
-
-
-def sinkhorn_stabilized(p, q, cost, lam: float, tol: float = 1e-9,
-                        max_iter: int = 100_000) -> SinkhornResult:
-    """Log-domain scaling iteration; same contract as :func:`sinkhorn`.
-
-    The absorbed log-domain iteration of :func:`_absorbed_lockstep` on a
-    stack of one, so no magnitude of ``lam * cost`` can underflow it.
-    """
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
-    P, Q, C = p[None], q[None], C[None]
-    solved = _absorbed_lockstep(-lam * C, P, Q, tol, max_iter)
-    return _single(_finalize(P, Q, C, lam, tol, *solved, stabilized=np.ones(1, dtype=bool)),
-                   p, q, lam)
-
-
 def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
                   max_iter: int = 100_000) -> SinkhornResult:
     """:func:`_sinkhorn_batch` on a stack of one.
@@ -515,30 +467,27 @@ def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
     return _single(_sinkhorn_batch(p[None], q[None], C[None], lam, tol, max_iter), p, q, lam)
 
 
-def _sinkhorn_batch(P, Q, C, lam: float, tol: float = 1e-9,
+def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol: float = 1e-9,
                     max_iter: int = 100_000) -> _BatchResult:
     """:func:`sinkhorn_auto` on a stack of same-shape problems at once.
 
-    ``P`` is ``[B, m]``, ``Q`` is ``[B, n]`` and ``C`` is ``[B, m, n]``; the
-    rows of ``P`` and ``Q`` must already be probability vectors with
-    positive entries.  The solve runs in rounds.  First every problem
-    sweeps for ``min(_SWEEP_BLOCK, max_iter)`` sweeps: problems with
-    ``max |lam * cost|`` up to :data:`STABILIZE_THRESHOLD` by the plain
+    ``P`` is ``[B, m]``, ``Q`` is ``[B, n]`` and ``C`` is ``[B, m, n]``,
+    all float arrays, and nothing here checks them: the caller has made the
+    rows of ``P`` and ``Q`` probability vectors with positive entries and
+    ``C`` finite, and has passed ``lam``, ``tol`` and ``max_iter`` through
+    :func:`_check_settings`.  The solve runs in rounds.  First every
+    problem sweeps for ``min(_SWEEP_BLOCK, max_iter)`` sweeps: problems
+    with ``max |lam * cost|`` up to :data:`STABILIZE_THRESHOLD` by the plain
     iteration of :func:`_lockstep`, the rest, together with the plain
-    problems that failed there (where :func:`sinkhorn` raises
-    :class:`KernelUnderflowError`), by the log-domain iteration of
-    :func:`_absorbed_lockstep` in one call, the failed ones again from
-    scratch.  The problems still unconverged with sweeps left take
-    :func:`_newton` steps; those it does not finish sweep again in the log
-    domain from its potentials, for twice the previous block, and so on
-    until each converges or has swept ``max_iter`` times.  Every decision
+    problems whose kernel products or row scalings underflowed there, by
+    the log-domain iteration of :func:`_absorbed_lockstep` in one call, the
+    failed ones again from scratch.  The problems still unconverged with
+    sweeps left take :func:`_newton` steps; those it does not finish sweep
+    again in the log domain from its potentials, for twice the previous
+    block, and so on until each converges or has swept ``max_iter`` times.  Every decision
     is taken per problem, so each keeps the sweep and Newton counts, plan
     and multipliers it would have alone.
     """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    C = np.asarray(C, dtype=float)
-    _validate_settings(C, lam, tol, max_iter)
     B = len(C)
     km = -lam * C
     block = min(_SWEEP_BLOCK, max_iter)

@@ -89,6 +89,15 @@ def underflow_tree() -> ScenarioTree:
     return tree_from_nodes(nodes)
 
 
+def overflow_pair(magnitude: float = 1e200) -> tuple[ScenarioTree, ScenarioTree]:
+    """Height-1 pair whose leaf costs overflow at order 2: a root with leaves
+    at ``+magnitude`` and ``-magnitude`` against a root with one leaf at 0."""
+    root = {"id": 0, "parent": None, "state": 0.0, "prob": 1.0}
+    tree_a = tree_from_nodes([root, {"id": 1, "parent": 0, "state": magnitude, "prob": 0.5},
+                              {"id": 2, "parent": 0, "state": -magnitude, "prob": 0.5}])
+    return tree_a, path_tree([0.0, 0.0])
+
+
 def interleaved(tree: ScenarioTree) -> ScenarioTree:
     """The same tree with its nodes listed by rank among their siblings, and
     within a rank in reverse order: first children of every parent, then

@@ -23,9 +23,7 @@ from nested_sinkhorn import (
     nested_bound_report,
     nested_exact,
     nested_sinkhorn,
-    sinkhorn,
     sinkhorn_auto,
-    sinkhorn_stabilized,
     solve_transport_lp,
     trajectories,
     verify_entropic_equivalence,
@@ -183,13 +181,12 @@ def test_criterion_08_scaling_iteration_closed_form():
     with criterion(8, "symmetric 2x2 plan matches the closed form"):
         half = np.array([0.5, 0.5])
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for lam in (0.5, 1.0, 5.0):
-            res = sinkhorn(half, half, cost, lam, tol=1e-13)
+        # the plain loop below the log-domain threshold, the log-domain loop past it
+        for lam, stabilized in ((0.5, False), (1.0, False), (5.0, False), (2000.0, True)):
+            res = sinkhorn_auto(half, half, cost, lam, tol=1e-13)
+            assert res.stabilized == stabilized
             expected = 1.0 / (2.0 * (1.0 + math.exp(-lam)))
             assert res.plan.matrix[0, 0] == pytest.approx(expected, abs=1e-9)
-        res = sinkhorn_stabilized(half, half, cost, 50.0, tol=1e-13)
-        expected = 1.0 / (2.0 * (1.0 + math.exp(-50.0)))
-        assert res.plan.matrix[0, 0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_criterion_09_duality_certificates():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import height3_pair, split_timing_pair, underflow_tree
+from conftest import height3_pair, overflow_pair, split_timing_pair, underflow_tree
 from nested_sinkhorn import (cost_matrix, flat_nested_lp, generate_random_tree,
                              nested_sinkhorn, parse_tree, serialize_tree, wasserstein_distance)
 from nested_sinkhorn import cli, nested
@@ -326,16 +326,36 @@ class TestExitCodes:
         ("sweep", ["--lambdas", "inf"]),
         ("verify", ["--lambda", "nan"]),
         ("bench", ["--lambda", "nan"]),
+        ("sweep", ["--tol", "nan"]),
+        ("sweep", ["--max-iter", "0"]),
+        ("bench", ["--tol", "nan"]),
+        ("bench", ["--max-iter", "0"]),
     ])
     def test_non_finite_lambda_fails_before_the_exact_solve(self, tmp_path, capsys, monkeypatch,
                                                             command, args):
+        # and so does every other bad solver setting
+        message = {
+            "--lambdas": "regularization parameter must be positive and finite",
+            "--lambda": "regularization parameter must be positive and finite",
+            "--tol": "tolerance must be positive and finite, got nan",
+            "--max-iter": "max_iter must be an integer of at least 1, got 0",
+        }[args[0]]
         calls = []
         monkeypatch.setattr(nested, "nested_exact", lambda *a, **k: calls.append(a))
         path_a, path_b = write_pair(tmp_path, height3_pair())
         trees = [] if command == "bench" else ["--tree-a", path_a, "--tree-b", path_b]
         assert main([command, *trees, *args]) == 2
         assert calls == []
-        assert "regularization parameter must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["wasserstein", "sinkhorn", "nested",
+                                         "nested-sinkhorn", "sweep", "verify"])
+    def test_overflowing_leaf_costs_are_status_two(self, tmp_path, capsys, command):
+        path_a, path_b = write_pair(tmp_path, overflow_pair())
+        assert main([command, "--tree-a", path_a, "--tree-b", path_b, "--r", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trajectory costs overflow the float range at order r=2.0" in captured.err
 
     @pytest.mark.parametrize("grid", [",", ""])
     def test_empty_lambda_grid_is_status_two(self, tmp_path, capsys, grid):

@@ -9,6 +9,7 @@ from conftest import (
     height3_pair,
     interleaved,
     late_split_tree,
+    overflow_pair,
     path_tree,
     split_timing_pair,
     tree_from_nodes,
@@ -292,6 +293,18 @@ class TestCostMatrix:
     def test_height_mismatch(self):
         with pytest.raises(ValueError, match="height"):
             cost_matrix(path_tree([0.0, 1.0]), path_tree([0.0, 1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("magnitude, r", [(1e200, 2.0), (1e300, 1.5)])
+    def test_overflowing_costs_rejected(self, magnitude, r):
+        # the suite turns a RuntimeWarning into an error, so none may leak
+        tree_a, tree_b = overflow_pair(magnitude)
+        with pytest.raises(ValueError, match=rf"overflow the float range at order r={r}"):
+            cost_matrix(tree_a, tree_b, r)
+        assert cost_matrix(tree_a, tree_b, 1.0) == pytest.approx(np.full((2, 1), magnitude))
+        # the difference of two states overflows too
+        wide, _ = overflow_pair(1e308)
+        with pytest.raises(ValueError, match="overflow the float range at order r=1.0"):
+            cost_matrix(wide, wide, 1.0)
 
 
 class TestGenerateRandomTree:

@@ -1,28 +1,59 @@
 """Scaling iteration, entropy accounting, duals, and comparison bounds."""
 
-import importlib
+import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import nested_sinkhorn as package
+import nested_sinkhorn.sinkhorn as sinkhorn_module
+from conftest import split_timing_pair
 from nested_sinkhorn import (
-    KernelUnderflowError,
     bound_certificates,
     entropy,
-    sinkhorn,
+    lambda_sweep,
+    nested_sinkhorn,
     sinkhorn_auto,
-    sinkhorn_stabilized,
     solve_transport_lp,
 )
-from nested_sinkhorn.sinkhorn import (_SWEEP_BLOCK, _finalize, _single, _sinkhorn_batch,
-                                     _validate_inputs)
-
-# the package exports the function ``sinkhorn``, which hides the module of that name
-sinkhorn_module = importlib.import_module("nested_sinkhorn.sinkhorn")
+from nested_sinkhorn.sinkhorn import (_SWEEP_BLOCK, _absorbed_lockstep, _finalize, _lockstep,
+                                     _single, _sinkhorn_batch, _validate_inputs)
 
 HALF = np.array([0.5, 0.5])
 FLIP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def sweep_loop(loop, p, q, cost, lam, tol=1e-9, max_iter=100_000):
+    """One sweep loop alone on a stack of one, its result finalized as
+    ``sinkhorn_auto`` finalizes its own: ``_lockstep``, which must not fail,
+    or ``_absorbed_lockstep``."""
+    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    P, Q, C = p[None], q[None], C[None]
+    solved = loop(-lam * C, P, Q, tol, max_iter)
+    stabilized = loop is _absorbed_lockstep
+    if not stabilized:
+        *solved, failed = solved
+        assert not failed[0]
+    return _single(_finalize(P, Q, C, lam, tol, *solved, stabilized=np.array([stabilized])),
+                   p, q, lam)
+
+
+plain_loop = functools.partial(sweep_loop, _lockstep)
+log_loop = functools.partial(sweep_loop, _absorbed_lockstep)
+
+
+def plain_loop_fails(p, q, cost, lam, tol=1e-9, max_iter=100_000):
+    """Whether ``_lockstep`` sets its failure mask on the problem."""
+    return bool(_lockstep(-lam * np.asarray(cost)[None], np.asarray(p)[None],
+                          np.asarray(q)[None], tol, max_iter)[-1][0])
+
+
+def test_package_exports_the_module_of_the_solver():
+    assert inspect.ismodule(package.sinkhorn)
+    assert package.sinkhorn is sinkhorn_module
+    assert package.sinkhorn_auto is sinkhorn_module.sinkhorn_auto
 
 
 def gibbs_plan(res, cost):
@@ -39,23 +70,34 @@ def symmetric_plan(lam):
     return np.array([[a, b], [b, a]])
 
 
+# each public entry that takes the solver settings, at valid defaults
+ENTRIES = {
+    "sinkhorn_auto": lambda lam=1.0, tol=1e-9, max_iter=100: sinkhorn_auto(
+        HALF, HALF, FLIP_COST, lam, tol, max_iter),
+    "nested_sinkhorn": lambda lam=1.0, tol=1e-9, max_iter=100: nested_sinkhorn(
+        *split_timing_pair(), 1.0, lam, tol, max_iter),
+    "lambda_sweep": lambda lam=1.0, tol=1e-9, max_iter=100: lambda_sweep(
+        *split_timing_pair(), 1.0, [lam], tol, max_iter),
+}
+
+
 class TestSinkhornPlain:
     def test_symmetric_2x2_closed_form(self):
-        res = sinkhorn(HALF, HALF, FLIP_COST, lam=1.0, tol=1e-12)
+        res = sinkhorn_auto(HALF, HALF, FLIP_COST, lam=1.0, tol=1e-12)
         expected = symmetric_plan(1.0)
         assert res.converged
         assert res.plan.matrix == pytest.approx(expected, abs=1e-10)
         assert res.d_s == pytest.approx(2.0 * expected[0, 1], abs=1e-10)
 
     def test_1x1_instance(self):
-        res = sinkhorn(np.array([1.0]), np.array([1.0]), np.array([[0.7]]), lam=3.0)
+        res = sinkhorn_auto(np.array([1.0]), np.array([1.0]), np.array([[0.7]]), lam=3.0)
         assert res.plan.matrix == pytest.approx(np.array([[1.0]]), abs=1e-12)
         assert res.d_s == pytest.approx(0.7, abs=1e-12)
         assert res.entropy == pytest.approx(0.0, abs=1e-12)
         assert res.de_s == pytest.approx(0.7, abs=1e-12)
 
     def test_large_lambda_closed_form(self):
-        res = sinkhorn(HALF, HALF, FLIP_COST, lam=50.0, tol=1e-12)
+        res = sinkhorn_auto(HALF, HALF, FLIP_COST, lam=50.0, tol=1e-12)
         expected_ds = math.exp(-50.0) / (1.0 + math.exp(-50.0))
         assert res.d_s == pytest.approx(expected_ds, abs=1e-21)
         assert res.d_s < 1e-21
@@ -66,7 +108,7 @@ class TestSinkhornPlain:
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(5))
         cost = rng.uniform(0.0, 3.0, size=(4, 5))
-        res = sinkhorn(p, q, cost, lam=2.0, tol=1e-11)
+        res = sinkhorn_auto(p, q, cost, lam=2.0, tol=1e-11)
         assert np.abs(gibbs_plan(res, cost) / res.plan.matrix - 1.0).max() < 1e-10
         assert res.dual_row.max() == pytest.approx(0.5 / 2.0, abs=1e-15 / 2.0)
 
@@ -75,15 +117,16 @@ class TestSinkhornPlain:
         p = rng.dirichlet(np.ones(3))
         q = rng.dirichlet(np.ones(4))
         cost = rng.uniform(0.0, 4.0, size=(3, 4))
-        res = sinkhorn(p, q, cost, lam=10.0)
-        assert res.plan.matrix.min() > 0.0
+        # sinkhorn_auto finishes this one by Newton steps after its first sweep block
+        for solve in (plain_loop, sinkhorn_auto):
+            assert solve(p, q, cost, lam=10.0).plan.matrix.min() > 0.0
 
     def test_marginal_feasibility(self):
         rng = np.random.default_rng(6)
         p = rng.dirichlet(np.ones(6))
         q = rng.dirichlet(np.ones(3))
         cost = rng.uniform(0.0, 2.0, size=(6, 3))
-        res = sinkhorn(p, q, cost, lam=4.0, tol=1e-10)
+        res = sinkhorn_auto(p, q, cost, lam=4.0, tol=1e-10)
         assert np.abs(res.plan.matrix.sum(axis=1) - p).max() <= 1e-10
         assert np.abs(res.plan.matrix.sum(axis=0) - q).max() <= 1e-10
 
@@ -99,7 +142,7 @@ class TestSinkhornPlain:
         q = rng.dirichlet(np.ones(4))
         cost = rng.uniform(0.0, 3.0, size=(4, 4))
         tol = 1e-11
-        res = sinkhorn(p, q, cost, lam=3.0, tol=tol)
+        res = sinkhorn_auto(p, q, cost, lam=3.0, tol=tol)
         plan = gibbs_plan(res, cost)
         row_ratio = p / plan.sum(axis=1)
         col_ratio = q / (plan.T @ row_ratio)
@@ -112,28 +155,44 @@ class TestSinkhornPlain:
         # asymmetric, weakly regularized: far from converged after 3 sweeps
         p = np.array([0.3, 0.7])
         q = np.array([0.7, 0.3])
-        res = sinkhorn(p, q, FLIP_COST, lam=30.0, tol=1e-12, max_iter=3)
+        res = sinkhorn_auto(p, q, FLIP_COST, lam=30.0, tol=1e-12, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
         assert res.marginal_error > 1e-12
 
     def test_kernel_underflow_raises(self):
-        with pytest.raises(KernelUnderflowError):
-            sinkhorn(HALF, HALF, np.array([[0.0, 2000.0], [2000.0, 4000.0]]), lam=1.0)
+        # the plain loop raises its failure flag, and the solver takes the
+        # log-domain loop instead
+        cost = np.array([[0.0, 2000.0], [2000.0, 4000.0]])
+        assert plain_loop_fails(HALF, HALF, cost, lam=1.0)
+        res = sinkhorn_auto(HALF, HALF, cost, lam=1.0)
+        assert res.stabilized and res.converged
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError, match="positive"):
-            sinkhorn(HALF, HALF, FLIP_COST, lam=0.0)
+            sinkhorn_auto(HALF, HALF, FLIP_COST, lam=0.0)
         with pytest.raises(ValueError, match="positive"):
-            sinkhorn(HALF, HALF, FLIP_COST, lam=-2.0)
+            sinkhorn_auto(HALF, HALF, FLIP_COST, lam=-2.0)
 
-    @pytest.mark.parametrize("solver", [sinkhorn, sinkhorn_stabilized, sinkhorn_auto])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_settings(self, solver, bad):
+    def test_non_finite_settings(self, entry, bad):
         with pytest.raises(ValueError, match="regularization parameter must be positive"):
-            solver(HALF, HALF, FLIP_COST, lam=bad)
+            ENTRIES[entry](lam=bad)
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            solver(HALF, HALF, FLIP_COST, lam=1.0, tol=bad)
+            ENTRIES[entry](tol=bad)
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, 3.0, 0, -1, np.int64(0), "3"])
+    def test_max_iter_must_be_a_positive_integer(self, entry, bad):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            ENTRIES[entry](max_iter=bad)
+
+    @pytest.mark.parametrize("max_iter", [1, np.int64(3), np.int32(3)])
+    def test_integer_max_iter_of_any_kind(self, max_iter):
+        p, q = np.array([0.3, 0.7]), np.array([0.7, 0.3])
+        res = sinkhorn_auto(p, q, FLIP_COST, lam=30.0, tol=1e-12, max_iter=max_iter)
+        assert res.iterations == max_iter
 
 
 class TestSinkhornStabilized:
@@ -146,14 +205,14 @@ class TestSinkhornStabilized:
             q = rng.dirichlet(np.ones(m))
             cost = rng.uniform(0.0, 3.0, size=(n, m))
             lam = float(rng.uniform(0.2, 10.0))  # max lam*cost stays below 30
-            plain = sinkhorn(p, q, cost, lam, tol=1e-12)
-            log = sinkhorn_stabilized(p, q, cost, lam, tol=1e-12)
+            plain = plain_loop(p, q, cost, lam, tol=1e-12)
+            log = log_loop(p, q, cost, lam, tol=1e-12)
             assert abs(plain.d_s - log.d_s) <= 1e-8
             assert abs(plain.de_s - log.de_s) <= 1e-8
             assert np.abs(plain.plan.matrix - log.plan.matrix).max() <= 1e-8
 
     def test_extreme_lambda(self):
-        res = sinkhorn_stabilized(HALF, HALF, FLIP_COST, lam=2000.0, tol=1e-12)
+        res = log_loop(HALF, HALF, FLIP_COST, lam=2000.0, tol=1e-12)
         assert res.converged
         assert res.d_s < 1e-15
         assert res.plan.matrix == pytest.approx(0.5 * np.eye(2), abs=1e-12)
@@ -161,8 +220,8 @@ class TestSinkhornStabilized:
     def test_1x1_matches_plain(self):
         p = np.array([1.0])
         cost = np.array([[1.3]])
-        plain = sinkhorn(p, p, cost, lam=1.0)
-        log = sinkhorn_stabilized(p, p, cost, lam=1.0)
+        plain = plain_loop(p, p, cost, lam=1.0)
+        log = log_loop(p, p, cost, lam=1.0)
         assert abs(plain.d_s - log.d_s) <= 1e-12
         assert abs(plain.de_s - log.de_s) <= 1e-12
 
@@ -181,8 +240,8 @@ def _lse(a, axis):
 
 def log_domain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """The pure log-sum-exp iteration: both kernel products of every sweep
-    by log-sum-exp.  ``sinkhorn_stabilized`` must reproduce its iterates up
-    to round-off."""
+    by log-sum-exp.  The log-domain loop must reproduce its iterates up to
+    round-off."""
     p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
     km = -lam * C
     log_p = np.log(p)
@@ -260,8 +319,7 @@ def assert_same_as_alone(batch, k, alone, atol):
 
 def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """The multiplicative iteration as a flat loop, without underflow
-    guards.  ``sinkhorn`` and the batched plain loop must reproduce its
-    iterates."""
+    guards.  The batched plain loop must reproduce its iterates."""
     p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
     K = np.exp(-lam * C)
     u = np.ones(p.size)
@@ -286,8 +344,8 @@ def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
 
 
 class TestPlainIteration:
-    """``sinkhorn``, ``sinkhorn_auto`` below the log-domain threshold and the
-    batched plain loop must follow ``plain_reference`` sweep for sweep."""
+    """The plain loop, and ``sinkhorn_auto`` and the batch below the
+    log-domain threshold, must follow ``plain_reference`` sweep for sweep."""
 
     @staticmethod
     def assert_same(ref, plan, dual_row, dual_col, iterations, converged):
@@ -300,7 +358,7 @@ class TestPlainIteration:
 
     @pytest.mark.parametrize("max_iter", [1, 3, 100_000])
     def test_flat_and_batched_paths(self, max_iter):
-        # sinkhorn always follows the reference; sinkhorn_auto and the batch
+        # the plain loop always follows the reference; sinkhorn_auto and the batch
         # follow it on the problems that converge within the first sweep
         # block, and the Newton contract holds for the others
         rng = np.random.default_rng(10)
@@ -311,7 +369,7 @@ class TestPlainIteration:
         batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol, max_iter)
         assert not batch.stabilized.any()
         for k, ((p, q, cost), ref) in enumerate(zip(problems, refs)):
-            flat = sinkhorn(p, q, cost, lam, tol, max_iter)
+            flat = plain_loop(p, q, cost, lam, tol, max_iter)
             self.assert_same(ref, flat.plan.matrix, flat.dual_row, flat.dual_col,
                              flat.iterations, flat.converged)
             auto = sinkhorn_auto(p, q, cost, lam, tol, max_iter)
@@ -341,14 +399,14 @@ def signed_instance(rng, m, n, magnitude):
 
 
 class TestAbsorbedIteration:
-    """``sinkhorn_stabilized`` sweeps multiplicatively on an absorbed kernel
+    """The log-domain loop sweeps multiplicatively on an absorbed kernel
     and must follow the pure log-sum-exp iteration sweep for sweep.  The log
     potentials carry an absolute round-off proportional to max |lam * cost|,
     so values are compared to 1e-12 of that scale."""
 
     @staticmethod
     def assert_same(p, q, cost, lam, tol=1e-9, max_iter=2000):
-        res = sinkhorn_stabilized(p, q, cost, lam, tol, max_iter)
+        res = log_loop(p, q, cost, lam, tol, max_iter)
         ref = log_domain_reference(p, q, cost, lam, tol, max_iter)
         assert res.iterations == ref.iterations
         assert res.converged == ref.converged
@@ -384,7 +442,7 @@ class TestAbsorbedIteration:
 
     def test_absorb_and_redo(self, monkeypatch):
         # at lam = 1000 the scalings leave the safe range every few hundred
-        # sweeps, so sinkhorn_stabilized must discard sweeps and redo them
+        # sweeps, so the log-domain loop must discard sweeps and redo them
         # by log-sum-exp; its first sweep accounts for two calls
         calls = []
         log_sum_exp = sinkhorn_module._logsumexp
@@ -423,7 +481,7 @@ class TestAbsorbedIteration:
         repairs = []
         for p, q, cost in problems:
             sweeps.clear()
-            sinkhorn_stabilized(p, q, cost, lam, tol, max_iter)
+            log_loop(p, q, cost, lam, tol, max_iter)
             repairs.append(sum(sweeps) // 2 - 1)
         assert len(set(repairs)) == len(problems)
         work = 0
@@ -456,8 +514,8 @@ class TestSinkhornBatch:
         P = np.array([[1.0], [1.0]])
         Q = np.array([[0.15488989, 0.84511011], [0.3, 0.7]])
         C = np.array([[[-551.38714657, 278.40743479]], [[0.0, 1.0]]])
-        with pytest.raises(KernelUnderflowError):
-            sinkhorn(P[0], Q[0], C[0], lam=1.0)
+        assert plain_loop_fails(P[0], Q[0], C[0], lam=1.0)
+        assert not plain_loop_fails(P[1], Q[1], C[1], lam=1.0)
         batch = _sinkhorn_batch(P, Q, C, lam=1.0, tol=1e-12)
         assert batch.stabilized.tolist() == [True, False]
         for k in range(2):
@@ -477,9 +535,8 @@ class TestSinkhornBatch:
         p = np.array([0.1768, 0.2697, 0.5535])
         q = np.array([0.4013, 0.3035, 0.2952])
         C = np.array([[264.0, 222.0, 511.0], [-514.0, 219.0, 488.0], [-31.0, -190.0, 116.0]])
-        with pytest.raises(KernelUnderflowError):
-            sinkhorn(p, q, C, lam=1.0)
-        ref = sinkhorn_stabilized(p, q, C, lam=1.0)
+        assert plain_loop_fails(p, q, C, lam=1.0)
+        ref = log_loop(p, q, C, lam=1.0)
         assert ref.converged and ref.iterations > _SWEEP_BLOCK
         auto = sinkhorn_auto(p, q, C, lam=1.0)
         assert auto.stabilized and auto.converged and auto.newton > 0
@@ -527,7 +584,7 @@ class TestNewtonFinish:
         # of about exp(30) stalls the sweeps at a marginal error near 3e-7
         p = q = np.full(3, 1.0 / 3.0)
         cost = np.array([[0.780, 0.861, 4.0], [0.642, 0.723, 3.861], [3.780, 3.861, 1.0]])
-        assert not sinkhorn_stabilized(p, q, cost, 5.0, max_iter=5000).converged
+        assert not log_loop(p, q, cost, 5.0, max_iter=5000).converged
         res = sinkhorn_auto(p, q, cost, 5.0)
         assert res.converged and res.newton > 0
         report = bound_certificates(cost, res, solve_transport_lp(p, q, cost))
@@ -623,7 +680,7 @@ class TestDualCertificate:
     """The multipliers ``dual_row``, ``dual_col`` of a result certify it."""
 
     def test_symmetric_instance(self):
-        res = sinkhorn(HALF, HALF, FLIP_COST, lam=1.0, tol=1e-13)
+        res = sinkhorn_auto(HALF, HALF, FLIP_COST, lam=1.0, tol=1e-13)
         # multipliers are symmetric within each side; across sides they agree
         # only up to the reporting gauge (max row scaling = 1), which shifts
         # the two sides by opposite constants and leaves dual_row[i] +
@@ -638,7 +695,7 @@ class TestDualCertificate:
     def test_1x1_gap_is_inverse_lambda(self):
         p = np.array([1.0])
         for lam in (0.5, 2.0, 7.0):
-            res = sinkhorn(p, p, np.array([[0.7]]), lam=lam)
+            res = sinkhorn_auto(p, p, np.array([[0.7]]), lam=lam)
             assert res.dual_row[0] + res.dual_col[0] == pytest.approx(0.7 + 1.0 / lam, abs=1e-12)
             dual_value = p @ res.dual_row + p @ res.dual_col
             assert dual_value - res.de_s == pytest.approx(1.0 / lam, abs=1e-12)
