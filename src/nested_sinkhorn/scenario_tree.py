@@ -23,14 +23,11 @@ __all__ = [
     "Node",
     "ScenarioTree",
     "StageIndex",
-    "Trajectory",
     "TreeFormatError",
     "cost_matrix",
     "generate_random_tree",
-    "ground_cost",
     "parse_tree",
     "serialize_tree",
-    "trajectories",
 ]
 
 _CHILD_SUM_ATOL = 1e-12  # construction-time tolerance on sibling probability sums
@@ -51,16 +48,6 @@ class Node:
     cond_prob: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A root-to-leaf path: the visited states, the leaf id and the
-    unconditional probability of the path (product of branch probabilities)."""
-
-    states: tuple[float, ...]
-    leaf_id: int
-    prob: float
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -73,15 +60,18 @@ class StageIndex:
     node id to its index ``k``; ``parent[t][k]`` is the node's parent's index
     in stage t-1 (empty for the root stage); ``ancestor[t][l]`` is the index
     of leaf ``l``'s stage-t ancestor; ``cond_prob[t][k]`` is the node's branch
-    probability; ``children[t]`` maps a child count ``m`` to the indices of
-    the stage-t nodes with ``m`` children and their ``[count, m]`` stack of
-    child indices, in child order.
+    probability and ``state[t][k]`` its state; ``children[t]`` maps a child
+    count ``m`` to the indices of the stage-t nodes with ``m`` children and
+    their ``[count, m]`` stack of child indices, in child order.  The leaf
+    arrays of :class:`ScenarioTree` are read off ``ancestor``: a leaf's
+    states are ``state[t][ancestor[t][l]]`` over t.
     """
 
     position: tuple[Mapping[int, int], ...]
     parent: tuple[np.ndarray, ...]
     ancestor: tuple[np.ndarray, ...]
     cond_prob: tuple[np.ndarray, ...]
+    state: tuple[np.ndarray, ...]
     children: tuple[Mapping[int, tuple[np.ndarray, np.ndarray]], ...]
 
 
@@ -145,8 +135,7 @@ class ScenarioTree:
                 raise TreeFormatError(
                     f"children probabilities sum to {total:.10g} under node {nid}"
                 )
-        leaf_ids = tuple(n.id for n in nodes if not children[n.id])
-        depths = {depth[leaf] for leaf in leaf_ids}
+        depths = {depth[n.id] for n in nodes if not children[n.id]}
         if len(depths) != 1:
             raise TreeFormatError(f"leaves must share one depth, found depths {sorted(depths)}")
         height = depths.pop()
@@ -158,7 +147,6 @@ class ScenarioTree:
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "_stages", tuple(tuple(s) for s in stages))
         object.__setattr__(self, "root_id", root.id)
-        object.__setattr__(self, "leaf_ids", leaf_ids)
 
     # -- lookups -----------------------------------------------------------
 
@@ -172,31 +160,28 @@ class ScenarioTree:
         """Ids of all nodes at stage ``t``, in node order."""
         return self._stages[t]
 
-    def leaf_paths(self) -> list[tuple[int, ...]]:
-        """Node-id paths from the root to every leaf, one per leaf in leaf order."""
-        out = []
-        for leaf in self.leaf_ids:
-            path = []
-            nid: Optional[int] = leaf
-            while nid is not None:
-                path.append(nid)
-                nid = self._by_id[nid].parent
-            out.append(tuple(reversed(path)))
-        return out
-
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_ids)
+        return len(self.stage(self.height))
 
     @cached_property
     def leaf_probabilities(self) -> np.ndarray:
-        """Trajectory probabilities in leaf order; computed once, read-only."""
-        return _read_only(np.array([t.prob for t in trajectories(self)]))
+        """Unconditional leaf probabilities in leaf order, each the product of
+        the branch probabilities on its path taken from the leaf up; computed
+        once, read-only."""
+        index = self.stage_index
+        prob = index.cond_prob[self.height][index.ancestor[self.height]]
+        for t in range(self.height - 1, -1, -1):
+            prob *= index.cond_prob[t][index.ancestor[t]]
+        return _read_only(prob)
 
     @cached_property
     def leaf_states(self) -> np.ndarray:
-        """Trajectory states in leaf order, one row per leaf; computed once, read-only."""
-        return _read_only(np.array([t.states for t in trajectories(self)]))
+        """The states along each root-to-leaf path, one row per leaf in leaf
+        order; computed once, read-only."""
+        index = self.stage_index
+        return _read_only(np.stack([state[ancestor] for state, ancestor
+                                    in zip(index.state, index.ancestor)], axis=1))
 
     @cached_property
     def stage_index(self) -> StageIndex:
@@ -212,6 +197,7 @@ class ScenarioTree:
             ancestor.insert(0, parent[t][ancestor[0]])
         cond_prob = [np.array([self._by_id[nid].cond_prob for nid in stage])
                      for stage in self._stages]
+        state = [np.array([self._by_id[nid].state for nid in stage]) for stage in self._stages]
         children = []
         for below in parent[1:]:
             counts = np.bincount(below)
@@ -222,8 +208,17 @@ class ScenarioTree:
                 int(m): (nodes, _read_only(order[first[nodes][:, None] + np.arange(m)]))
                 for m in np.unique(counts) for nodes in [_read_only(np.flatnonzero(counts == m))]
             }))
-        arrays = (tuple(map(_read_only, part)) for part in (parent, ancestor, cond_prob))
+        arrays = (tuple(map(_read_only, part)) for part in (parent, ancestor, cond_prob, state))
         return StageIndex(tuple(map(MappingProxyType, position)), *arrays, tuple(children))
+
+
+def _as_float(value, key: str, nid: int) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TreeFormatError(f"{key} of node {nid} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise TreeFormatError(f"{key} of node {nid} is beyond the float range") from None
 
 
 def parse_tree(text: str) -> ScenarioTree:
@@ -254,11 +249,10 @@ def parse_tree(text: str) -> ScenarioTree:
             raise TreeFormatError(f"node id must be an integer, got {nid!r}")
         if parent is not None and (not isinstance(parent, int) or isinstance(parent, bool)):
             raise TreeFormatError(f"parent of node {nid} must be an integer or null")
-        if not isinstance(state, (int, float)) or isinstance(state, bool):
-            raise TreeFormatError(f"state of node {nid} must be a number")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool) or not math.isfinite(prob):
+        state, prob = _as_float(state, "state", nid), _as_float(prob, "prob", nid)
+        if not math.isfinite(prob):
             raise TreeFormatError(f"prob of node {nid} must be a finite number")
-        raw.append((nid, parent, float(state), float(prob)))
+        raw.append((nid, parent, state, prob))
     for _, parent, _, prob in raw:
         if parent is None and not abs(prob - 1.0) <= _PARSE_SUM_ATOL:
             raise TreeFormatError(f"root probability must be 1, got {prob!r}")
@@ -296,55 +290,22 @@ def serialize_tree(tree: ScenarioTree) -> str:
     return json.dumps(payload, indent=2)
 
 
-def trajectories(tree: ScenarioTree) -> list[Trajectory]:
-    """All root-to-leaf trajectories, in leaf order.
-
-    The probability of a trajectory is the product of the branch
-    probabilities along its path; over all leaves these sum to one.
-    """
-    out = []
-    for leaf in tree.leaf_ids:
-        states: list[float] = []
-        prob = 1.0
-        nid: Optional[int] = leaf
-        while nid is not None:
-            node = tree.node(nid)
-            states.append(node.state)
-            prob *= node.cond_prob
-            nid = node.parent
-        out.append(Trajectory(tuple(reversed(states)), leaf, prob))
-    return out
-
-
-def _check_order(r: float) -> None:
-    # written so that NaN fails it
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"order r must be >= 1 and finite, got {r}")
-
-
-def ground_cost(a: Trajectory, b: Trajectory, r: float = 1.0) -> float:
-    """l1 distance between two equal-length trajectories, raised to power ``r``."""
-    _check_order(r)
-    if len(a.states) != len(b.states):
-        raise ValueError(
-            f"trajectories have different lengths: {len(a.states)} vs {len(b.states)}"
-        )
-    base = float(np.abs(np.asarray(a.states) - np.asarray(b.states)).sum())
-    return base**r
-
-
 def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> np.ndarray:
-    """Dense matrix of pairwise trajectory costs ``ground_cost(a_i, b_j, r)``.
+    """Dense matrix of leaf-pair costs: entry ``(i, j)`` is the l1 distance
+    between the state paths of leaf ``i`` of ``tree_a`` and leaf ``j`` of
+    ``tree_b`` (rows of :attr:`ScenarioTree.leaf_states`), raised to the
+    power ``r``.
 
     Rows follow ``tree_a``'s leaf order, columns ``tree_b``'s.  Trees of
-    different heights are rejected here and nowhere else, and so are costs
-    that overflow the float range.
+    different heights are rejected here and nowhere else, and so are orders
+    below one or not finite, and costs that overflow the float range.
     """
     if tree_a.height != tree_b.height:
         raise ValueError(
             f"trees have different heights: {tree_a.height} vs {tree_b.height}"
         )
-    _check_order(r)
+    if not 1.0 <= r < math.inf:  # written so that NaN fails it
+        raise ValueError(f"order r must be >= 1 and finite, got {r}")
     sa = tree_a.leaf_states
     sb = tree_b.leaf_states
     with np.errstate(over="ignore"):

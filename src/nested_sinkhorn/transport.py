@@ -31,9 +31,10 @@ def _as_marginal(vec, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty vector")
-    if arr.min() <= 0.0:
+    # written so that NaN fails them
+    if not arr.min() > 0.0:
         raise ValueError(f"{name} must be strictly positive")
-    if abs(arr.sum() - 1.0) > 1e-12:
+    if not abs(arr.sum() - 1.0) <= 1e-12:
         raise ValueError(f"{name} must sum to 1, got {arr.sum()!r}")
     return arr
 
@@ -55,15 +56,16 @@ class TransportPlan:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape != (self.row_marginal.size, self.col_marginal.size):
             raise ValueError(f"plan shape {m.shape} does not match the marginals")
-        if m.min() < -atol:
-            raise ValueError(f"plan has negative entry {m.min()!r}")
+        # each check is written so that NaN fails it
+        if not m.min() >= -atol:
+            raise ValueError(f"plan has negative or NaN entry {m.min()!r}")
         row_err = np.abs(m.sum(axis=1) - self.row_marginal).max()
         col_err = np.abs(m.sum(axis=0) - self.col_marginal).max()
-        if row_err > atol:
+        if not row_err <= atol:
             raise ValueError(f"row sums deviate from the marginal by {row_err:.3e}")
-        if col_err > atol:
+        if not col_err <= atol:
             raise ValueError(f"column sums deviate from the marginal by {col_err:.3e}")
-        if abs(m.sum() - 1.0) > atol:
+        if not abs(m.sum() - 1.0) <= atol:
             raise ValueError(f"total mass is {m.sum()!r}, expected 1")
 
 

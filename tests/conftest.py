@@ -98,6 +98,26 @@ def overflow_pair(magnitude: float = 1e200) -> tuple[ScenarioTree, ScenarioTree]
     return tree_a, path_tree([0.0, 0.0])
 
 
+def leaf_walk(tree: ScenarioTree) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Reference walk from each leaf up the parent links, in leaf order.
+
+    Returns the root-to-leaf id paths, the state paths as one row per leaf,
+    and the path probabilities, each the product of the branch probabilities
+    taken from the leaf up.  It reads only the nodes, not the stage arrays.
+    """
+    paths, probs = [], []
+    for leaf in tree.stage(tree.height):
+        path, prob, nid = [], 1.0, leaf
+        while nid is not None:
+            path.append(nid)
+            prob *= tree.node(nid).cond_prob
+            nid = tree.node(nid).parent
+        paths.append(tuple(reversed(path)))
+        probs.append(prob)
+    states = [[tree.node(nid).state for nid in path] for path in paths]
+    return paths, np.array(states), np.array(probs)
+
+
 def interleaved(tree: ScenarioTree) -> ScenarioTree:
     """The same tree with its nodes listed by rank among their siblings, and
     within a rank in reverse order: first children of every parent, then

@@ -25,7 +25,6 @@ from nested_sinkhorn import (
     nested_sinkhorn,
     sinkhorn_auto,
     solve_transport_lp,
-    trajectories,
     verify_entropic_equivalence,
     wasserstein_distance,
 )
@@ -80,8 +79,8 @@ def random_suite_reports():
 def test_criterion_01_flat_transport_on_split_timing_pair():
     with criterion(1, "flat transport value, plan, and runtime"):
         early, late = split_timing_pair(0.1)
-        p = np.array([t.prob for t in trajectories(early)])
-        q = np.array([t.prob for t in trajectories(late)])
+        p = early.leaf_probabilities
+        q = late.leaf_probabilities
         cost = cost_matrix(early, late, 1.0)
         sol = solve_transport_lp(p, q, cost)
         assert sol.value == pytest.approx(0.05, abs=1e-12)
@@ -195,8 +194,8 @@ def test_criterion_09_duality_certificates():
         instances = []
         for pair in (split_timing_pair(0.1), height3_pair()):
             tree_a, tree_b = pair
-            p = np.array([t.prob for t in trajectories(tree_a)])
-            q = np.array([t.prob for t in trajectories(tree_b)])
+            p = tree_a.leaf_probabilities
+            q = tree_b.leaf_probabilities
             instances.append((p, q, cost_matrix(tree_a, tree_b, 1.0)))
         for _ in range(10):
             n = int(rng.integers(2, 7))

@@ -265,13 +265,18 @@ class TestExitCodes:
 
     def test_non_finite_tree(self, tmp_path, capsys):
         early, late = split_timing_pair(0.1)
-        doc = json.loads(serialize_tree(early))
-        doc["nodes"][1]["prob"] = math.nan
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))  # written as the JSON extension NaN
         _, path_b = write_pair(tmp_path, (early, late))
-        assert main(["nested", "--tree-a", str(bad), "--tree-b", path_b]) == 2
-        assert "finite" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        # NaN is written as the JSON extension NaN; 10**400 as an integer
+        # beyond the float range
+        for key, value, message in [("prob", math.nan, "prob of node 1 must be a finite"),
+                                    ("state", 10**400, "state of node 1 is beyond the float"),
+                                    ("prob", 10**400, "prob of node 1 is beyond the float")]:
+            doc = json.loads(serialize_tree(early))
+            doc["nodes"][1][key] = value
+            bad.write_text(json.dumps(doc))
+            assert main(["nested", "--tree-a", str(bad), "--tree-b", path_b]) == 2
+            assert message in capsys.readouterr().err
 
     def test_height_mismatch(self, tmp_path):
         early, _ = split_timing_pair(0.1)

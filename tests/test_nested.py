@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     height3_pair,
+    leaf_walk,
     path_tree,
     random_tree_pair,
     split_timing_pair,
@@ -31,7 +32,6 @@ from nested_sinkhorn import (
     nested_sinkhorn,
     sinkhorn_auto,
     solve_transport_lp,
-    trajectories,
     verify_entropic_equivalence,
     wasserstein_distance,
 )
@@ -64,7 +64,7 @@ class TestNestedExact:
         tree, _ = height3_pair()
         res = nested_exact(tree, tree, 1.0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
-        p = np.array([t.prob for t in trajectories(tree)])
+        p = tree.leaf_probabilities
         assert res.composed_plan.matrix == pytest.approx(np.diag(p), abs=1e-12)
 
     def test_height3_pair_matches_flat_lp(self):
@@ -88,8 +88,8 @@ class TestNestedExact:
     def test_composed_plan_is_product_of_conditionals(self):
         tree_a, tree_b = height3_pair()
         res = nested_exact(tree_a, tree_b, 1.0)
-        paths_a = tree_a.leaf_paths()
-        paths_b = tree_b.leaf_paths()
+        paths_a = leaf_walk(tree_a)[0]
+        paths_b = leaf_walk(tree_b)[0]
         child_index_a = {c: k for n in tree_a.nodes for k, c in enumerate(tree_a.children(n.id))}
         child_index_b = {c: k for n in tree_b.nodes for k, c in enumerate(tree_b.children(n.id))}
         position_a, position_b = tree_a.stage_index.position, tree_b.stage_index.position
@@ -282,8 +282,8 @@ class TestNestedSinkhorn:
 
     def test_one_stage_degeneration(self):
         tree_a, tree_b = random_tree_pair(200, max_height=1)
-        p = np.array([t.prob for t in trajectories(tree_a)])
-        q = np.array([t.prob for t in trajectories(tree_b)])
+        p = tree_a.leaf_probabilities
+        q = tree_b.leaf_probabilities
         flat = sinkhorn_auto(p, q, cost_matrix(tree_a, tree_b, 1.0), 3.0, tol=1e-9)
         res = nested_sinkhorn(tree_a, tree_b, 1.0, 3.0, tol=1e-9)
         assert res.value == pytest.approx(flat.d_s, abs=1e-10)

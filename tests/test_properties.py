@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import interleaved, tree_from_nodes
+from conftest import interleaved, leaf_walk, tree_from_nodes
 from nested_sinkhorn import (
     flat_nested_lp,
     martingale_check,
@@ -41,13 +41,13 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 @st.composite
-def trees(draw, height, weights=WEIGHTS):
+def trees(draw, height, weights=WEIGHTS, max_width=3):
     nodes = [{"id": 0, "parent": None, "state": draw(st.sampled_from(STATES)), "prob": 1.0}]
     level = [0]
     for _ in range(height):
         below = []
         for parent in level:
-            width = 1 if len(level) >= MAX_LEVEL else draw(st.integers(1, 3))
+            width = 1 if len(level) >= MAX_LEVEL else draw(st.integers(1, max_width))
             drawn = draw(st.lists(st.sampled_from(weights), min_size=width, max_size=width))
             for w in drawn:
                 below.append(len(nodes))
@@ -63,6 +63,26 @@ def tree_pairs(draw, weights=WEIGHTS):
     height = draw(st.integers(1, 3))
     return (draw(trees(height, weights)), draw(trees(height, weights)),
             draw(st.sampled_from([1.0, 2.0])))
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 5).flatmap(lambda h: st.one_of(trees(h), trees(h, max_width=1))),
+       st.booleans())
+def test_leaf_arrays_match_the_reference_walk(tree, mix):
+    # single-child chains and height 0 included; ``interleaved`` spreads the
+    # stages.  Heights up to 5 make the product order show in the last bits.
+    if mix:
+        tree = interleaved(tree)
+    _, states, probs = leaf_walk(tree)
+    assert_bitwise(tree.leaf_probabilities, probs)
+    assert_bitwise(tree.leaf_states, states)
+    for t, state in enumerate(tree.stage_index.state):
+        assert_bitwise(state, np.array([tree.node(nid).state for nid in tree.stage(t)]))
 
 
 @PROPERTY_SETTINGS

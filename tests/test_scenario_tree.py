@@ -1,4 +1,4 @@
-"""Tree parsing, validation, trajectories, costs, and random generation."""
+"""Tree parsing, validation, leaf arrays, costs, and random generation."""
 
 import math
 
@@ -9,6 +9,7 @@ from conftest import (
     height3_pair,
     interleaved,
     late_split_tree,
+    leaf_walk,
     overflow_pair,
     path_tree,
     split_timing_pair,
@@ -20,10 +21,8 @@ from nested_sinkhorn import (
     TreeFormatError,
     cost_matrix,
     generate_random_tree,
-    ground_cost,
     parse_tree,
     serialize_tree,
-    trajectories,
 )
 
 
@@ -45,10 +44,12 @@ class TestParsing:
     def test_single_node_tree(self):
         tree = tree_from_nodes([{"id": 0, "parent": None, "state": 1.5, "prob": 1.0}])
         assert tree.height == 0
-        paths = trajectories(tree)
-        assert len(paths) == 1
-        assert paths[0].states == (1.5,)
-        assert paths[0].prob == 1.0
+        assert tree.n_leaves == 1
+        assert tree.leaf_states.tolist() == [[1.5]]
+        assert tree.leaf_probabilities.tolist() == [1.0]
+        index = tree.stage_index
+        assert index.state[0].tolist() == [1.5]
+        assert index.ancestor[0].tolist() == [0]
 
     def test_children_probabilities_must_sum_to_one(self):
         with pytest.raises(TreeFormatError, match="children probabilities sum to 1.1"):
@@ -146,55 +147,54 @@ class TestParsing:
 class TestTrajectories:
     def test_height3_tree_paths(self):
         tree_a, _ = height3_pair()
-        paths = trajectories(tree_a)
-        states = [t.states for t in paths]
-        probs = [t.prob for t in paths]
-        assert states == [
-            (10.0, 10.0, 8.0, 6.0),
-            (10.0, 10.0, 8.0, 9.0),
-            (10.0, 10.0, 12.0, 10.0),
-            (10.0, 10.0, 12.0, 13.0),
+        probs = tree_a.leaf_probabilities.tolist()
+        assert tree_a.leaf_states.tolist() == [
+            [10.0, 10.0, 8.0, 6.0],
+            [10.0, 10.0, 8.0, 9.0],
+            [10.0, 10.0, 12.0, 10.0],
+            [10.0, 10.0, 12.0, 13.0],
         ]
         assert probs == pytest.approx([0.5016, 0.1584, 0.1564, 0.1836], abs=1e-12)
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_late_split_tree_paths(self):
-        paths = trajectories(late_split_tree())
-        assert [t.states for t in paths] == [(2.0, 2.0, 3.0), (2.0, 2.0, 1.0)]
-        assert [t.prob for t in paths] == [0.5, 0.5]
+        tree = late_split_tree()
+        assert tree.leaf_states.tolist() == [[2.0, 2.0, 3.0], [2.0, 2.0, 1.0]]
+        assert tree.leaf_probabilities.tolist() == [0.5, 0.5]
 
     def test_probabilities_sum_to_one_on_random_trees(self):
         for seed in range(12):
             tree = generate_random_tree([1, 3, 2, 2], seed)
-            total = math.fsum(t.prob for t in trajectories(tree))
+            total = math.fsum(tree.leaf_probabilities)
             assert abs(total - 1.0) < 1e-12
 
     def test_leaf_probabilities_cached_and_read_only(self):
         tree = generate_random_tree([1, 3, 2, 2], 4)
+        _, walk_states, walk_probs = leaf_walk(tree)
         probs = tree.leaf_probabilities
-        assert probs.tolist() == [t.prob for t in trajectories(tree)]
+        assert probs.tolist() == walk_probs.tolist()
         assert tree.leaf_probabilities is probs
         with pytest.raises(ValueError):
             probs[0] = 0.5
         states = tree.leaf_states
-        assert [tuple(row) for row in states.tolist()] == [t.states for t in trajectories(tree)]
+        assert states.tolist() == walk_states.tolist()
         assert tree.leaf_states is states
         with pytest.raises(ValueError):
             states[0, 0] = 0.5
-
 
     def test_stage_index_follows_the_paths(self):
         tree = interleaved(height3_pair()[0])
         assert tree.stage(3) == (6, 4, 7, 5)
         index = tree.stage_index
         assert tree.stage_index is index
-        for leaf, path in enumerate(tree.leaf_paths()):
+        for leaf, path in enumerate(leaf_walk(tree)[0]):
             for t, nid in enumerate(path):
                 assert tree.stage(t)[index.ancestor[t][leaf]] == nid
                 assert index.position[t][nid] == index.ancestor[t][leaf]
                 if t:
                     assert index.parent[t][index.position[t][nid]] == index.position[t - 1][path[t - 1]]
                 assert index.cond_prob[t][index.position[t][nid]] == tree.node(nid).cond_prob
+                assert index.state[t][index.position[t][nid]] == tree.node(nid).state
         for t in range(tree.height):
             for m, (nodes, kids) in index.children[t].items():
                 assert kids.shape == (len(nodes), m)
@@ -202,61 +202,50 @@ class TestTrajectories:
                     assert [tree.stage(t + 1)[c] for c in row] == list(tree.children(tree.stage(t)[k]))
         with pytest.raises(ValueError):
             index.ancestor[0][0] = 1
+        with pytest.raises(ValueError):
+            index.state[0][0] = 1.0
 
 
 class TestGroundCost:
+    """The leaf-pair ground costs, read off ``cost_matrix`` entries."""
+
     def test_epsilon_shift(self):
         early, late = split_timing_pair(0.1)
-        a = trajectories(late)[1]   # (2, 2, 1)
-        b = trajectories(early)[0]  # (2, 2.1, 3)
-        assert ground_cost(a, b, 1.0) == pytest.approx(2.1, abs=1e-12)
+        # late leaf 1 is (2, 2, 1), early leaf 0 is (2, 2.1, 3)
+        assert cost_matrix(late, early, 1.0)[1, 0] == pytest.approx(2.1, abs=1e-12)
 
     def test_identity(self):
         tree, _ = height3_pair()
-        for t in trajectories(tree):
-            assert ground_cost(t, t, 1.0) == 0.0
-            assert ground_cost(t, t, 2.0) == 0.0
+        for r in (1.0, 2.0):
+            assert np.all(np.diag(cost_matrix(tree, tree, r)) == 0.0)
 
     def test_squared_order_against_direct_sum(self):
         tree_a, tree_b = height3_pair()
-        a = trajectories(tree_a)[0]  # (10, 10, 8, 6)
-        b = trajectories(tree_b)[0]  # (10, 7, 5, 4)
-        expected = direct_l1_cost(a.states, b.states, 2.0)
+        a = leaf_walk(tree_a)[1][0]  # (10, 10, 8, 6)
+        b = leaf_walk(tree_b)[1][0]  # (10, 7, 5, 4)
+        expected = direct_l1_cost(a, b, 2.0)
         assert expected == 64.0
-        assert ground_cost(a, b, 2.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_length_mismatch(self):
-        short = trajectories(path_tree([0.0, 1.0]))[0]
-        long = trajectories(path_tree([0.0, 1.0, 2.0]))[0]
-        with pytest.raises(ValueError, match="length"):
-            ground_cost(short, long, 1.0)
+        assert cost_matrix(tree_a, tree_b, 2.0)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_order_below_one_rejected(self):
-        t = trajectories(path_tree([0.0, 1.0]))[0]
+        tree = path_tree([0.0, 1.0])
         with pytest.raises(ValueError, match="order r"):
-            ground_cost(t, t, 0.5)
+            cost_matrix(tree, tree, 0.5)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_non_finite_order_rejected(self, r):
         tree = path_tree([0.0, 1.0])
-        t = trajectories(tree)[0]
-        with pytest.raises(ValueError, match="order r must be >= 1 and finite"):
-            ground_cost(t, t, r)
         with pytest.raises(ValueError, match="order r must be >= 1 and finite"):
             cost_matrix(tree, tree, r)
 
     def test_triangle_inequality_for_order_one(self):
         rng = np.random.default_rng(42)
         trees = [generate_random_tree([1, 2, 2], seed) for seed in range(6)]
-        paths = [trajectories(t) for t in trees]
+        costs = [[cost_matrix(x, y, 1.0) for y in trees] for x in trees]
         for _ in range(60):
             i, j, k = rng.integers(0, len(trees), size=3)
-            a = paths[i][int(rng.integers(0, len(paths[i])))]
-            b = paths[j][int(rng.integers(0, len(paths[j])))]
-            c = paths[k][int(rng.integers(0, len(paths[k])))]
-            assert ground_cost(a, b, 1.0) <= (
-                ground_cost(a, c, 1.0) + ground_cost(c, b, 1.0) + 1e-12
-            )
+            a, b, c = (int(rng.integers(0, trees[n].n_leaves)) for n in (i, j, k))
+            assert costs[i][j][a, b] <= costs[i][k][a, c] + costs[k][j][c, b] + 1e-12
 
 
 class TestCostMatrix:
@@ -280,10 +269,10 @@ class TestCostMatrix:
     def test_entries_match_ground_cost(self):
         tree_a, tree_b = height3_pair()
         C = cost_matrix(tree_a, tree_b, 1.5)
-        ta, tb = trajectories(tree_a), trajectories(tree_b)
-        for i in range(len(ta)):
-            for j in range(len(tb)):
-                assert C[i, j] == pytest.approx(ground_cost(ta[i], tb[j], 1.5), rel=1e-14)
+        sa, sb = leaf_walk(tree_a)[1], leaf_walk(tree_b)[1]
+        for i in range(len(sa)):
+            for j in range(len(sb)):
+                assert C[i, j] == pytest.approx(direct_l1_cost(sa[i], sb[j], 1.5), rel=1e-14)
 
     def test_transpose_symmetry(self):
         tree_a, tree_b = height3_pair()

@@ -7,9 +7,10 @@ import pytest
 
 from conftest import height3_pair, random_tree_pair, split_timing_pair
 from nested_sinkhorn import (
+    TransportPlan,
     cost_matrix,
+    sinkhorn_auto,
     solve_transport_lp,
-    trajectories,
     wasserstein_distance,
 )
 from nested_sinkhorn import transport
@@ -137,6 +138,16 @@ class TestSolveTransportLp:
             solve_transport_lp(good, good, np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="shape"):
             solve_transport_lp(good, good, np.zeros((3, 2)))
+        # NaN fails every marginal and plan check, here and in the scaling solver
+        for bad in ([np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="p must be strictly positive"):
+                solve_transport_lp(np.array(bad), good, np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="q must be strictly positive"):
+                sinkhorn_auto(good, np.array(bad), np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="NaN entry"):
+            TransportPlan(np.array([[np.nan, 0.0], [0.0, 0.5]]), good, good).validate()
+        with pytest.raises(ValueError, match="row sums"):
+            TransportPlan(np.diag(good), np.array([np.nan, 0.5]), good).validate()
 
     def test_pivot_limit_message(self, monkeypatch):
         # the north-west corner start is the costly diagonal, so one pivot
@@ -232,8 +243,8 @@ class TestWassersteinDistance:
         # equality-form LP over vectorized plan entries
         tree_a, tree_b = height3_pair()
         cost = cost_matrix(tree_a, tree_b, 1.0)
-        p = np.array([t.prob for t in trajectories(tree_a)])
-        q = np.array([t.prob for t in trajectories(tree_b)])
+        p = tree_a.leaf_probabilities
+        q = tree_b.leaf_probabilities
         n, m = cost.shape
         rows = []
         rhs = []
@@ -256,8 +267,8 @@ class TestWassersteinDistance:
         for seed in range(6):
             tree_a, tree_b = random_tree_pair(seed)
             cost = cost_matrix(tree_a, tree_b, 1.0)
-            p = np.array([t.prob for t in trajectories(tree_a)])
-            q = np.array([t.prob for t in trajectories(tree_b)])
+            p = tree_a.leaf_probabilities
+            q = tree_b.leaf_probabilities
             n, m = cost.shape
             rows = []
             rhs = []
@@ -277,8 +288,8 @@ class TestWassersteinDistance:
 
     def test_rth_root(self):
         tree_a, tree_b = height3_pair()
-        p = np.array([t.prob for t in trajectories(tree_a)])
-        q = np.array([t.prob for t in trajectories(tree_b)])
+        p = tree_a.leaf_probabilities
+        q = tree_b.leaf_probabilities
         raw = solve_transport_lp(p, q, cost_matrix(tree_a, tree_b, 2.0)).value
         assert wasserstein_distance(tree_a, tree_b, 2.0) == pytest.approx(
             raw**0.5, rel=1e-12
