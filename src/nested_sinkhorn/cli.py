@@ -242,12 +242,12 @@ def _cmd_gen(config: RunConfig) -> int:
 def _cmd_bench(config: RunConfig) -> int:
     if config.max_stages < 1:
         raise ValueError("bench needs --max-stages >= 1")
+    # the first stage count the lists cannot serve, checked before any solve
+    short = max(1, min(len(config.branching_a), len(config.branching_b)))
+    if short <= config.max_stages:
+        raise ValueError(f"benchmark branching lists are too short for {short} stages")
     rows = []
     for stages in range(1, config.max_stages + 1):
-        if stages + 1 > len(config.branching_a) or stages + 1 > len(config.branching_b):
-            raise ValueError(
-                f"benchmark branching lists are too short for {stages} stages"
-            )
         tree_a = generate_random_tree(config.branching_a[: stages + 1],
                                       config.seed + 17 * stages + 1)
         tree_b = generate_random_tree(config.branching_b[: stages + 1],

@@ -63,6 +63,8 @@ PROJECTION_TOL = 1e-8   # conditional means of the translated multipliers
 BOUND_TOL = 1e-12         # marginal stopping tolerance per nested run
 BOUND_MAX_ITER = 200_000  # sweep cap per subproblem
 
+FLAT_LP_MAX_CELLS = 40_000  # leaf pairs beyond which flat_nested_lp refuses an instance
+
 
 @dataclass(eq=False)
 class StageTable:
@@ -348,8 +350,8 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                       lambda plan, cost, root: (float((plan * cost).sum()), root), "sinkhorn", lam)
 
 
-def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
-                   max_cells: int = 40_000) -> tuple[float, TransportPlan]:
+def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree,
+                   r: float = 1.0) -> tuple[float, TransportPlan]:
     """Nested distance as one flat LP over leaf-pair variables.
 
     For every stage, node pair and immediate successor the conditional
@@ -358,16 +360,16 @@ def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     redundant successor per group is dropped.  Solved by the generic dense
     simplex, so it is an oracle wholly independent of the recursion.  Only
     intended for desk-scale instances (``n_leaves_a * n_leaves_b`` capped by
-    ``max_cells``).  Raises ``RuntimeError`` when the simplex fails or its
-    plan misses the conditional marginals by more than 1e-3 of the smallest
-    leaf probability, which happens on branch probabilities near 1e-9.
+    :data:`FLAT_LP_MAX_CELLS`).  Raises ``RuntimeError`` when the simplex
+    fails or its plan misses the conditional marginals by more than 1e-3 of
+    the smallest leaf probability, which happens on branch probabilities
+    near 1e-9.
     """
     na = tree_a.n_leaves
     nb = tree_b.n_leaves
-    if na * nb > max_cells:
-        raise ValueError(
-            f"instance too large for the flat LP: {na} x {nb} leaf pairs exceeds {max_cells}"
-        )
+    if na * nb > FLAT_LP_MAX_CELLS:
+        raise ValueError(f"instance too large for the flat LP: {na} x {nb} leaf pairs "
+                         f"exceeds {FLAT_LP_MAX_CELLS}")
     cost = cost_matrix(tree_a, tree_b, r)
     _check_height(tree_a)
     index_a, index_b = tree_a.stage_index, tree_b.stage_index

@@ -57,14 +57,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class StageIndex:
     """Read-only index arrays over the stages of a tree, with node ``k`` of
     stage ``t`` being ``tree.stage(t)[k]``: ``position[t]`` maps a stage-t
-    node id to its index ``k``; ``parent[t][k]`` is the node's parent's index
-    in stage t-1 (empty for the root stage); ``ancestor[t][l]`` is the index
-    of leaf ``l``'s stage-t ancestor; ``cond_prob[t][k]`` is the node's branch
-    probability and ``state[t][k]`` its state; ``children[t]`` maps a child
-    count ``m`` to the indices of the stage-t nodes with ``m`` children and
-    their ``[count, m]`` stack of child indices, in child order.  The leaf
-    arrays of :class:`ScenarioTree` are read off ``ancestor``: a leaf's
-    states are ``state[t][ancestor[t][l]]`` over t.
+    node id to its index ``k``, in node order; ``parent[t][k]`` is the node's
+    parent's index in stage t-1 (empty for the root stage); ``ancestor[t][l]``
+    is the index of leaf ``l``'s stage-t ancestor; ``cond_prob[t][k]`` is the
+    node's branch probability and ``state[t][k]`` its state; ``children[t]``
+    maps a child count ``m`` to the indices of the stage-t nodes with ``m``
+    children and their ``[count, m]`` stack of child indices, in child order.
+    A tree builds its index once, at construction, and checks its sibling
+    sums and leaf depths on these arrays.  Its leaf arrays are read off
+    ``ancestor``: a leaf's states are ``state[t][ancestor[t][l]]`` over t.
     """
 
     position: tuple[Mapping[int, int], ...]
@@ -79,12 +80,13 @@ class StageIndex:
 class ScenarioTree:
     """Rooted tree with per-node states and conditional branch probabilities.
 
-    Construction validates every invariant: finite states, a single root
+    Construction builds the tree's :class:`StageIndex` once, as the plain
+    attribute ``stage_index``, and validates every invariant, the sibling
+    sums and leaf depths on the index arrays: finite states, a single root
     carrying probability one, strictly positive branch probabilities summing
     to one over each sibling group, unique ids, acyclic parent links and a
     common depth for all leaves; a NaN fails every probability check.  Node
-    order in ``nodes`` is preserved; children and leaves are always
-    enumerated in that order.
+    order in ``nodes`` is preserved; children and leaves follow it.
     """
 
     nodes: tuple[Node, ...]
@@ -94,75 +96,51 @@ class ScenarioTree:
         object.__setattr__(self, "nodes", nodes)
         if not nodes:
             raise TreeFormatError("tree has no nodes")
-        by_id: dict[int, Node] = {}
-        for node in nodes:
-            if node.id in by_id:
+        row: dict[int, int] = {}
+        for k, node in enumerate(nodes):
+            if node.id in row:
                 raise TreeFormatError(f"duplicate node id {node.id}")
             if not math.isfinite(node.state):
                 raise TreeFormatError(f"node {node.id} has non-finite state {node.state!r}")
-            by_id[node.id] = node
-        roots = [n for n in nodes if n.parent is None]
+            row[node.id] = k
+        roots = [k for k, node in enumerate(nodes) if node.parent is None]
         if len(roots) != 1:
             raise TreeFormatError(f"tree must have exactly one root, found {len(roots)}")
-        root = roots[0]
+        root = nodes[roots[0]]
         if not abs(root.cond_prob - 1.0) <= _CHILD_SUM_ATOL:
             raise TreeFormatError(f"root probability must be 1, got {root.cond_prob!r}")
-        children: dict[int, list[int]] = {n.id: [] for n in nodes}
-        for node in nodes:
+        up = []  # each node's parent row; the root is its own
+        for k, node in enumerate(nodes):
             if node.parent is None:
+                up.append(k)
                 continue
-            if node.parent not in by_id:
+            if node.parent not in row:
                 raise TreeFormatError(f"node {node.id} references unknown parent {node.parent}")
             if not node.cond_prob > 0.0:
                 raise TreeFormatError(f"node {node.id} has nonpositive probability {node.cond_prob!r}")
-            children[node.parent].append(node.id)
-        depth: dict[int, int] = {root.id: 0}
-        frontier = [root.id]
-        while frontier:
-            nxt: list[int] = []
-            for nid in frontier:
-                for cid in children[nid]:
-                    depth[cid] = depth[nid] + 1
-                    nxt.append(cid)
-            frontier = nxt
-        if len(depth) != len(nodes):
-            raise TreeFormatError("parent links contain a cycle")
-        for nid, kids in children.items():
-            if not kids:
-                continue
-            total = math.fsum(by_id[c].cond_prob for c in kids)
-            if not abs(total - 1.0) <= _CHILD_SUM_ATOL:
-                raise TreeFormatError(
-                    f"children probabilities sum to {total:.10g} under node {nid}"
-                )
-        depths = {depth[n.id] for n in nodes if not children[n.id]}
-        if len(depths) != 1:
-            raise TreeFormatError(f"leaves must share one depth, found depths {sorted(depths)}")
-        height = depths.pop()
-        stages: list[list[int]] = [[] for _ in range(height + 1)]
-        for node in nodes:
-            stages[depth[node.id]].append(node.id)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
+            up.append(row[node.parent])
+        index = _stage_index(nodes, np.array(up), roots[0])
+        height = len(index.position) - 1
+        for t, groups in enumerate(index.children):
+            for above, kids in groups.values():
+                for k, probs in zip(above.tolist(), index.cond_prob[t + 1][kids].tolist()):
+                    total = math.fsum(probs)
+                    if probs and not abs(total - 1.0) <= _CHILD_SUM_ATOL:  # a leaf has none
+                        raise TreeFormatError(f"children probabilities sum to {total:.10g} "
+                                              f"under node {list(index.position[t])[k]}")
+        short = [t for t, groups in enumerate(index.children) if 0 in groups]
+        if short:
+            raise TreeFormatError(f"leaves must share one depth, found depths {short + [height]}")
+        object.__setattr__(self, "stage_index", index)
         object.__setattr__(self, "height", height)
-        object.__setattr__(self, "_stages", tuple(tuple(s) for s in stages))
-        object.__setattr__(self, "root_id", root.id)
-
-    # -- lookups -----------------------------------------------------------
-
-    def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
-
-    def children(self, node_id: int) -> tuple[int, ...]:
-        return self._children[node_id]
 
     def stage(self, t: int) -> tuple[int, ...]:
         """Ids of all nodes at stage ``t``, in node order."""
-        return self._stages[t]
+        return tuple(self.stage_index.position[t])
 
     @property
     def n_leaves(self) -> int:
-        return len(self.stage(self.height))
+        return len(self.stage_index.position[self.height])
 
     @cached_property
     def leaf_probabilities(self) -> np.ndarray:
@@ -183,33 +161,43 @@ class ScenarioTree:
         return _read_only(np.stack([state[ancestor] for state, ancestor
                                     in zip(index.state, index.ancestor)], axis=1))
 
-    @cached_property
-    def stage_index(self) -> StageIndex:
-        """The tree's :class:`StageIndex`, computed once.  The leaves are
-        exactly the last stage's nodes, in the same order."""
-        position = [{nid: k for k, nid in enumerate(stage)} for stage in self._stages]
-        parent = [np.zeros(0, dtype=int)] + [
-            np.array([position[t][self._by_id[nid].parent] for nid in stage], dtype=int)
-            for t, stage in enumerate(self._stages[1:])
-        ]
-        ancestor = [np.arange(self.n_leaves)]
-        for t in range(self.height, 0, -1):
-            ancestor.insert(0, parent[t][ancestor[0]])
-        cond_prob = [np.array([self._by_id[nid].cond_prob for nid in stage])
-                     for stage in self._stages]
-        state = [np.array([self._by_id[nid].state for nid in stage]) for stage in self._stages]
-        children = []
-        for below in parent[1:]:
-            counts = np.bincount(below)
-            # children grouped by parent, each group in child order
-            order = np.argsort(below, kind="stable")
-            first = np.cumsum(counts) - counts
-            children.append(MappingProxyType({
-                int(m): (nodes, _read_only(order[first[nodes][:, None] + np.arange(m)]))
-                for m in np.unique(counts) for nodes in [_read_only(np.flatnonzero(counts == m))]
-            }))
-        arrays = (tuple(map(_read_only, part)) for part in (parent, ancestor, cond_prob, state))
-        return StageIndex(tuple(map(MappingProxyType, position)), *arrays, tuple(children))
+
+def _stage_index(nodes: tuple[Node, ...], up: np.ndarray, root: int) -> StageIndex:
+    """The :class:`StageIndex` of ``nodes``, whose parent rows are ``up``;
+    depths come from doubling ancestor steps.  Childless stage-t nodes with
+    t below the height form the group ``children[t][0]``."""
+    above, depth = up, (up != np.arange(len(nodes))).astype(int)  # depth: steps up to above
+    for _ in range(len(nodes).bit_length()):
+        depth, above = depth + depth[above], above[above]
+    if not np.all(above == root):
+        raise TreeFormatError("parent links contain a cycle")
+    order = np.argsort(depth, kind="stable")  # rows by stage, in node order within one
+    rows = np.split(order, np.cumsum(np.bincount(depth))[:-1])
+    pos = np.empty(len(nodes), dtype=int)  # each node's index in its stage
+    for stage in rows:
+        pos[stage] = np.arange(len(stage))
+    parent = [np.zeros(0, dtype=int)] + [pos[up[stage]] for stage in rows[1:]]
+    ancestor = [np.arange(len(rows[-1]))]
+    for t in range(len(rows) - 1, 0, -1):
+        ancestor.insert(0, parent[t][ancestor[0]])
+    cond_prob = np.array([node.cond_prob for node in nodes], dtype=float)
+    state = np.array([node.state for node in nodes], dtype=float)
+    children = []
+    for t, below in enumerate(parent[1:]):
+        counts = np.bincount(below, minlength=len(rows[t]))
+        # children grouped by parent, each group in child order
+        by_parent = np.argsort(below, kind="stable")
+        start = np.cumsum(counts) - counts
+        children.append(MappingProxyType({
+            m: (group, _read_only(by_parent[start[group][:, None] + np.arange(m)]))
+            for m in sorted(set(counts.tolist()))
+            for group in [_read_only(np.flatnonzero(counts == m))]
+        }))
+    arrays = (tuple(map(_read_only, part)) for part in (
+        parent, ancestor, [cond_prob[stage] for stage in rows], [state[stage] for stage in rows]))
+    position = tuple(MappingProxyType({nodes[k].id: j for j, k in enumerate(stage.tolist())})
+                     for stage in rows)
+    return StageIndex(position, *arrays, tuple(children))
 
 
 def _as_float(value, key: str, nid: int) -> float:
@@ -257,37 +245,30 @@ def parse_tree(text: str) -> ScenarioTree:
         if parent is None and not abs(prob - 1.0) <= _PARSE_SUM_ATOL:
             raise TreeFormatError(f"root probability must be 1, got {prob!r}")
     probs = [1.0 if item[1] is None else item[3] for item in raw]
+    ids = {item[0] for item in raw}
     groups: dict[int, list[int]] = {}
-    for idx, (nid, parent, _, _) in enumerate(raw):
-        if parent is not None:
+    for idx, (_, parent, _, _) in enumerate(raw):
+        if parent in ids:  # neither the root nor a node whose parent ScenarioTree rejects
             groups.setdefault(parent, []).append(idx)
     for parent, members in groups.items():
         total = math.fsum(probs[k] for k in members)
         if not abs(total - 1.0) <= _PARSE_SUM_ATOL:
-            raise TreeFormatError(
-                f"children probabilities sum to {total:.10g} under node {parent}"
-            )
+            raise TreeFormatError(f"children probabilities sum to {total:.10g} under node {parent}")
         renorm = [probs[k] / total for k in members]
         # push the rounding residue onto the largest entry so the sum is a unit
         top = max(range(len(renorm)), key=renorm.__getitem__)
         renorm[top] += 1.0 - math.fsum(renorm)
         for k, val in zip(members, renorm):
             probs[k] = val
-    nodes = tuple(
-        Node(nid, parent, state, probs[k]) for k, (nid, parent, state, _) in enumerate(raw)
-    )
-    return ScenarioTree(nodes)
+    return ScenarioTree(tuple(Node(nid, parent, state, probs[k])
+                              for k, (nid, parent, state, _) in enumerate(raw)))
 
 
 def serialize_tree(tree: ScenarioTree) -> str:
     """Serialize a tree back to the JSON interchange format (round-trip safe)."""
-    payload = {
-        "nodes": [
-            {"id": n.id, "parent": n.parent, "state": n.state, "prob": n.cond_prob}
-            for n in tree.nodes
-        ]
-    }
-    return json.dumps(payload, indent=2)
+    nodes = [{"id": n.id, "parent": n.parent, "state": n.state, "prob": n.cond_prob}
+             for n in tree.nodes]
+    return json.dumps({"nodes": nodes}, indent=2)
 
 
 def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> np.ndarray:
@@ -301,13 +282,10 @@ def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> n
     below one or not finite, and costs that overflow the float range.
     """
     if tree_a.height != tree_b.height:
-        raise ValueError(
-            f"trees have different heights: {tree_a.height} vs {tree_b.height}"
-        )
+        raise ValueError(f"trees have different heights: {tree_a.height} vs {tree_b.height}")
     if not 1.0 <= r < math.inf:  # written so that NaN fails it
         raise ValueError(f"order r must be >= 1 and finite, got {r}")
-    sa = tree_a.leaf_states
-    sb = tree_b.leaf_states
+    sa, sb = tree_a.leaf_states, tree_b.leaf_states
     with np.errstate(over="ignore"):
         cost = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2) ** r
     if not np.all(np.isfinite(cost)):

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .transport import LpSolution, TransportPlan, _as_marginal
+from .transport import LpSolution, TransportPlan, _check_instance
 
 __all__ = [
     "BOUND_SLACK",
@@ -132,18 +132,6 @@ def _stacked_entropy(plan: np.ndarray, log_plan: Optional[np.ndarray] = None) ->
         log_plan = np.log(np.where(x > 0.0, x, 1.0))
     with np.errstate(invalid="ignore"):
         return -np.where(x > 0.0, x * log_plan, 0.0).sum(axis=(1, 2))
-
-
-def _validate_inputs(p, q, cost, lam, tol, max_iter):
-    p = _as_marginal(p, "p")
-    q = _as_marginal(q, "q")
-    C = np.asarray(cost, dtype=float)
-    if C.shape != (p.size, q.size):
-        raise ValueError(f"cost shape {C.shape} does not match marginals ({p.size}, {q.size})")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix must be finite")
-    _check_settings(lam, tol, max_iter)
-    return p, q, C
 
 
 def _check_settings(lam: float, tol: float, max_iter: int) -> None:
@@ -463,7 +451,8 @@ def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
     where they stop making progress, more log-domain sweeps; ``max_iter``
     caps the sweeps.
     """
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    p, q, C = _check_instance(p, q, cost)
+    _check_settings(lam, tol, max_iter)
     return _single(_sinkhorn_batch(p[None], q[None], C[None], lam, tol, max_iter), p, q, lam)
 
 

@@ -39,6 +39,20 @@ def _as_marginal(vec, name: str) -> np.ndarray:
     return arr
 
 
+def _check_instance(p, q, cost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``p``, ``q`` and ``cost`` as float arrays, checked to be strictly
+    positive probability vectors and a finite matrix of shape
+    ``(len(p), len(q))``: the input rules of both flat solvers."""
+    p = _as_marginal(p, "p")
+    q = _as_marginal(q, "q")
+    C = np.asarray(cost, dtype=float)
+    if C.shape != (p.size, q.size):
+        raise ValueError(f"cost shape {C.shape} does not match marginals ({p.size}, {q.size})")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("cost matrix must be finite")
+    return p, q, C
+
+
 @dataclass
 class TransportPlan:
     """Coupling of two discrete distributions.
@@ -124,13 +138,7 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
     the lowest-index negative one, until a pivot moves mass again.  Past
     ``_MAX_PIVOTS`` pivots it raises ``RuntimeError`` naming the shape and limit.
     """
-    p = _as_marginal(p, "p")
-    q = _as_marginal(q, "q")
-    C = np.asarray(cost, dtype=float)
-    if C.shape != (p.size, q.size):
-        raise ValueError(f"cost shape {C.shape} does not match marginals ({p.size}, {q.size})")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix must be finite")
+    p, q, C = _check_instance(p, q, cost)
     n, m = C.shape
     costs = C.tolist()
     flow: dict[int, float] = {}  # mass of basic cell i * m + j

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from nested_sinkhorn import ScenarioTree, generate_random_tree, parse_tree
+from nested_sinkhorn import Node, ScenarioTree, generate_random_tree, parse_tree
 
 
 def tree_from_nodes(nodes: list[dict]) -> ScenarioTree:
@@ -98,6 +98,17 @@ def overflow_pair(magnitude: float = 1e200) -> tuple[ScenarioTree, ScenarioTree]
     return tree_a, path_tree([0.0, 0.0])
 
 
+def node_map(tree: ScenarioTree) -> dict[int, Node]:
+    """The tree's nodes by id, read off ``tree.nodes`` alone."""
+    return {node.id: node for node in tree.nodes}
+
+
+def child_ids(tree: ScenarioTree, nid: int) -> tuple[int, ...]:
+    """Ids of the children of node ``nid``, in node order, read off
+    ``tree.nodes`` alone."""
+    return tuple(node.id for node in tree.nodes if node.parent == nid)
+
+
 def leaf_walk(tree: ScenarioTree) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Reference walk from each leaf up the parent links, in leaf order.
 
@@ -105,16 +116,18 @@ def leaf_walk(tree: ScenarioTree) -> tuple[list[tuple[int, ...]], np.ndarray, np
     and the path probabilities, each the product of the branch probabilities
     taken from the leaf up.  It reads only the nodes, not the stage arrays.
     """
+    nodes = node_map(tree)
+    parents = {node.parent for node in tree.nodes}
     paths, probs = [], []
-    for leaf in tree.stage(tree.height):
+    for leaf in [node.id for node in tree.nodes if node.id not in parents]:
         path, prob, nid = [], 1.0, leaf
         while nid is not None:
             path.append(nid)
-            prob *= tree.node(nid).cond_prob
-            nid = tree.node(nid).parent
+            prob *= nodes[nid].cond_prob
+            nid = nodes[nid].parent
         paths.append(tuple(reversed(path)))
         probs.append(prob)
-    states = [[tree.node(nid).state for nid in path] for path in paths]
+    states = [[nodes[nid].state for nid in path] for path in paths]
     return paths, np.array(states), np.array(probs)
 
 
@@ -123,7 +136,7 @@ def interleaved(tree: ScenarioTree) -> ScenarioTree:
     within a rank in reverse order: first children of every parent, then
     second children, and so on, so that no sibling group and no stage is
     contiguous."""
-    rank = {c: k for node in tree.nodes for k, c in enumerate(tree.children(node.id))}
+    rank = {c: k for node in tree.nodes for k, c in enumerate(child_ids(tree, node.id))}
     order = sorted(range(len(tree.nodes)), key=lambda k: (rank.get(tree.nodes[k].id, 0), -k))
     return ScenarioTree(tuple(tree.nodes[k] for k in order))
 

@@ -374,6 +374,16 @@ class TestExitCodes:
         assert main(["bench", "--max-stages", "0"]) == 2
         assert "--max-stages >= 1" in capsys.readouterr().err
 
+    def test_short_bench_branching_fails_before_any_solve(self, capsys, monkeypatch):
+        # the default branching lists serve 5 stages
+        calls = []
+        monkeypatch.setattr(cli, "lambda_sweep", lambda *a, **k: calls.append(a))
+        assert main(["bench", "--max-stages", "6"]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "benchmark branching lists are too short for 6 stages" in captured.err
+
     def test_unknown_command(self):
         config = RunConfig(command="nope")
         assert run(config) == 2

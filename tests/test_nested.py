@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    child_ids,
     height3_pair,
     leaf_walk,
     path_tree,
@@ -35,7 +36,7 @@ from nested_sinkhorn import (
     verify_entropic_equivalence,
     wasserstein_distance,
 )
-from nested_sinkhorn.nested import _lp_group
+from nested_sinkhorn.nested import FLAT_LP_MAX_CELLS, _lp_group
 
 # the package exports the function ``nested_sinkhorn``, which hides the package itself
 package = importlib.import_module("nested_sinkhorn")
@@ -90,16 +91,16 @@ class TestNestedExact:
         res = nested_exact(tree_a, tree_b, 1.0)
         paths_a = leaf_walk(tree_a)[0]
         paths_b = leaf_walk(tree_b)[0]
-        child_index_a = {c: k for n in tree_a.nodes for k, c in enumerate(tree_a.children(n.id))}
-        child_index_b = {c: k for n in tree_b.nodes for k, c in enumerate(tree_b.children(n.id))}
+        child_index_a = {c: k for n in tree_a.nodes for k, c in enumerate(child_ids(tree_a, n.id))}
+        child_index_b = {c: k for n in tree_b.nodes for k, c in enumerate(child_ids(tree_b, n.id))}
         position_a, position_b = tree_a.stage_index.position, tree_b.stage_index.position
         for ia, pa in enumerate(paths_a):
             for jb, pb in enumerate(paths_b):
                 w = 1.0
                 for t in range(tree_a.height):
                     # the conditional plan of the pair (pa[t], pb[t]), children in child order
-                    rows = [position_a[t + 1][c] for c in tree_a.children(pa[t])]
-                    cols = [position_b[t + 1][c] for c in tree_b.children(pb[t])]
+                    rows = [position_a[t + 1][c] for c in child_ids(tree_a, pa[t])]
+                    cols = [position_b[t + 1][c] for c in child_ids(tree_b, pb[t])]
                     plan = res.stage_tables[t].plan[np.ix_(rows, cols)]
                     w *= plan[child_index_a[pa[t + 1]], child_index_b[pb[t + 1]]]
                 assert res.composed_plan.matrix[ia, jb] == pytest.approx(w, abs=1e-10)
@@ -232,10 +233,12 @@ class TestFlatNestedLp:
             flat_nested_lp(tree_a, tree_b, 1.0)
         assert "smallest leaf probability" in str(raised.value)
 
-    def test_size_cap(self):
-        tree_a, tree_b = height3_pair()
-        with pytest.raises(ValueError, match="too large"):
-            flat_nested_lp(tree_a, tree_b, 1.0, max_cells=10)
+    def test_size_cap(self, monkeypatch):
+        # 201 x 201 leaves: the cap is checked before any cost is built
+        monkeypatch.setattr(importlib.import_module("nested_sinkhorn.nested"), "cost_matrix", None)
+        tree_a, tree_b = generate_random_tree([1, 201], 1), generate_random_tree([1, 201], 2)
+        with pytest.raises(ValueError, match=f"201 x 201 leaf pairs exceeds {FLAT_LP_MAX_CELLS}"):
+            flat_nested_lp(tree_a, tree_b, 1.0)
 
 
 class TestNestedSinkhorn:

@@ -14,13 +14,18 @@ The generated trees list their nodes stage by stage; ``interleaved``
 (conftest) lists the same tree with siblings spread across the list.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import interleaved, leaf_walk, tree_from_nodes
+from conftest import child_ids, interleaved, leaf_walk, node_map, tree_from_nodes
 from nested_sinkhorn import (
+    ScenarioTree,
+    TreeFormatError,
     flat_nested_lp,
     martingale_check,
     nested_exact,
@@ -70,6 +75,11 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def assert_read_only_bitwise(got, want: list):
+    assert not got.flags.writeable
+    assert_bitwise(got, np.array(want))
+
+
 @PROPERTY_SETTINGS
 @given(st.integers(0, 5).flatmap(lambda h: st.one_of(trees(h), trees(h, max_width=1))),
        st.booleans())
@@ -78,11 +88,86 @@ def test_leaf_arrays_match_the_reference_walk(tree, mix):
     # stages.  Heights up to 5 make the product order show in the last bits.
     if mix:
         tree = interleaved(tree)
-    _, states, probs = leaf_walk(tree)
+    paths, states, probs = leaf_walk(tree)
     assert_bitwise(tree.leaf_probabilities, probs)
     assert_bitwise(tree.leaf_states, states)
-    for t, state in enumerate(tree.stage_index.state):
-        assert_bitwise(state, np.array([tree.node(nid).state for nid in tree.stage(t)]))
+    # every stage-index field against the walk, the stages in node order
+    nodes, index = node_map(tree), tree.stage_index
+    depth = {nid: t for path in paths for t, nid in enumerate(path)}
+    stages = [[n.id for n in tree.nodes if depth[n.id] == t] for t in range(tree.height + 1)]
+    position = [{nid: k for k, nid in enumerate(stage)} for stage in stages]
+    assert [list(pos.items()) for pos in index.position] == [list(p.items()) for p in position]
+    assert [list(tree.stage(t)) for t in range(tree.height + 1)] == stages
+    assert len(index.children) == tree.height
+    assert_bitwise(index.parent[0], np.zeros(0, dtype=int))
+    for t, stage in enumerate(stages):
+        if t:
+            assert_read_only_bitwise(index.parent[t],
+                                     [position[t - 1][nodes[nid].parent] for nid in stage])
+        assert_read_only_bitwise(index.ancestor[t], [position[t][path[t]] for path in paths])
+        assert_read_only_bitwise(index.cond_prob[t], [nodes[nid].cond_prob for nid in stage])
+        assert_read_only_bitwise(index.state[t], [nodes[nid].state for nid in stage])
+        if t < tree.height:
+            kids = [[position[t + 1][c] for c in child_ids(tree, nid)] for nid in stage]
+            counts = sorted({len(row) for row in kids})
+            assert list(index.children[t]) == counts
+            for m in counts:
+                group, stack = index.children[t][m]
+                assert_read_only_bitwise(group, [k for k, row in enumerate(kids) if len(row) == m])
+                assert_read_only_bitwise(stack, [row for row in kids if len(row) == m])
+
+
+FAULTS = ["duplicate id", "unknown parent", "2-cycle", "nonpositive probability",
+          "non-finite state", "second root", "root probability", "sibling sum", "short leaf"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@PROPERTY_SETTINGS
+@given(st.integers(2, 4).flatmap(trees), st.data())
+def test_one_fault_is_named(fault, tree, data):
+    # a valid tree with exactly one fault injected; the generated trees list
+    # the root first and number the nodes by their place in the list
+    nodes = list(tree.nodes)
+    k = data.draw(st.integers(1, len(nodes) - 1))
+    node = nodes[k]
+    if fault == "duplicate id":
+        nodes.insert(data.draw(st.integers(0, len(nodes))), node)
+        message = f"duplicate node id {node.id}"
+    elif fault == "unknown parent":
+        nodes[k] = replace(node, parent=len(nodes))
+        message = f"node {node.id} references unknown parent {len(nodes)}"
+    elif fault == "2-cycle":
+        j = data.draw(st.integers(1, len(nodes) - 1).filter(lambda j: j != k))
+        nodes[k], nodes[j] = replace(node, parent=j), replace(nodes[j], parent=k)
+        message = "parent links contain a cycle"
+    elif fault == "nonpositive probability":
+        value = data.draw(st.sampled_from([0.0, math.nan]))
+        nodes[k] = replace(node, cond_prob=value)
+        message = f"node {node.id} has nonpositive probability {value!r}"
+    elif fault == "non-finite state":
+        k = data.draw(st.integers(0, len(nodes) - 1))
+        value = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        nodes[k] = replace(nodes[k], state=value)
+        message = f"node {k} has non-finite state {value!r}"
+    elif fault == "second root":
+        nodes[k] = replace(node, parent=None, cond_prob=1.0)
+        message = "tree must have exactly one root, found 2"
+    elif fault == "root probability":
+        nodes[0] = replace(nodes[0], cond_prob=0.9)
+        message = "root probability must be 1, got 0.9"
+    elif fault == "sibling sum":
+        nodes[k] = replace(node, cond_prob=node.cond_prob + 1e-9)
+        total = math.fsum(n.cond_prob for n in nodes if n.parent == node.parent)
+        message = f"children probabilities sum to {total:.10g} under node {node.parent}"
+    else:  # a node of the last inner stage loses its children while another keeps its own
+        inner = tree.stage(tree.height - 1)
+        assume(len(inner) > 1)
+        cut = data.draw(st.sampled_from(inner))
+        nodes = [n for n in nodes if n.parent != cut]
+        message = f"leaves must share one depth, found depths {[tree.height - 1, tree.height]}"
+    with pytest.raises(TreeFormatError) as raised:
+        ScenarioTree(tuple(nodes))
+    assert str(raised.value) == message
 
 
 @PROPERTY_SETTINGS

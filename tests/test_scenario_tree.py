@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    child_ids,
     height3_pair,
     interleaved,
     late_split_tree,
     leaf_walk,
+    node_map,
     overflow_pair,
     path_tree,
     split_timing_pair,
@@ -65,7 +67,8 @@ class TestParsing:
             {"id": 1, "parent": 0, "state": 1.0, "prob": 0.3333333333},
             {"id": 2, "parent": 0, "state": 2.0, "prob": 0.6666666667 - 4e-10},
         ])
-        total = math.fsum(tree.node(c).cond_prob for c in tree.children(0))
+        nodes = node_map(tree)
+        total = math.fsum(nodes[c].cond_prob for c in child_ids(tree, 0))
         assert abs(total - 1.0) < 1e-15
 
     def test_malformed_json(self):
@@ -85,6 +88,17 @@ class TestParsing:
             tree_from_nodes([
                 {"id": 0, "parent": None, "state": 0.0, "prob": 1.0},
                 {"id": 1, "parent": 9, "state": 1.0, "prob": 1.0},
+            ])
+
+    @pytest.mark.parametrize("prob", [0.5, 1.0])
+    def test_orphan_is_blamed_on_its_parent(self, prob):
+        # a sibling group under an unknown parent is not renormalized
+        with pytest.raises(TreeFormatError, match="node 3 references unknown parent 9"):
+            tree_from_nodes([
+                {"id": 0, "parent": None, "state": 0.0, "prob": 1.0},
+                {"id": 1, "parent": 0, "state": 1.0, "prob": 0.5},
+                {"id": 2, "parent": 0, "state": 2.0, "prob": 0.5},
+                {"id": 3, "parent": 9, "state": 3.0, "prob": prob},
             ])
 
     def test_nonpositive_probability(self):
@@ -185,7 +199,7 @@ class TestTrajectories:
     def test_stage_index_follows_the_paths(self):
         tree = interleaved(height3_pair()[0])
         assert tree.stage(3) == (6, 4, 7, 5)
-        index = tree.stage_index
+        index, nodes = tree.stage_index, node_map(tree)
         assert tree.stage_index is index
         for leaf, path in enumerate(leaf_walk(tree)[0]):
             for t, nid in enumerate(path):
@@ -193,13 +207,14 @@ class TestTrajectories:
                 assert index.position[t][nid] == index.ancestor[t][leaf]
                 if t:
                     assert index.parent[t][index.position[t][nid]] == index.position[t - 1][path[t - 1]]
-                assert index.cond_prob[t][index.position[t][nid]] == tree.node(nid).cond_prob
-                assert index.state[t][index.position[t][nid]] == tree.node(nid).state
+                assert index.cond_prob[t][index.position[t][nid]] == nodes[nid].cond_prob
+                assert index.state[t][index.position[t][nid]] == nodes[nid].state
         for t in range(tree.height):
             for m, (nodes, kids) in index.children[t].items():
                 assert kids.shape == (len(nodes), m)
                 for k, row in zip(nodes, kids):
-                    assert [tree.stage(t + 1)[c] for c in row] == list(tree.children(tree.stage(t)[k]))
+                    kids = child_ids(tree, tree.stage(t)[k])
+                    assert [tree.stage(t + 1)[c] for c in row] == list(kids)
         with pytest.raises(ValueError):
             index.ancestor[0][0] = 1
         with pytest.raises(ValueError):
@@ -310,16 +325,17 @@ class TestGenerateRandomTree:
 
     def test_root_state_zero_and_unit_root_prob(self):
         tree = generate_random_tree([1, 2], 9)
-        root = tree.node(tree.root_id)
+        (root,) = [node for node in tree.nodes if node.parent is None]
         assert root.state == 0.0
         assert root.cond_prob == 1.0
 
     def test_sibling_sums_exact(self):
         tree = generate_random_tree([1, 3, 3], 77)
+        nodes = node_map(tree)
         for node in tree.nodes:
-            kids = tree.children(node.id)
+            kids = child_ids(tree, node.id)
             if kids:
-                assert math.fsum(tree.node(c).cond_prob for c in kids) == pytest.approx(
+                assert math.fsum(nodes[c].cond_prob for c in kids) == pytest.approx(
                     1.0, abs=1e-15
                 )
 

@@ -19,7 +19,8 @@ from nested_sinkhorn import (
     solve_transport_lp,
 )
 from nested_sinkhorn.sinkhorn import (_SWEEP_BLOCK, _absorbed_lockstep, _finalize, _lockstep,
-                                     _single, _sinkhorn_batch, _validate_inputs)
+                                     _single, _sinkhorn_batch)
+from nested_sinkhorn.transport import _check_instance
 
 HALF = np.array([0.5, 0.5])
 FLIP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -29,7 +30,7 @@ def sweep_loop(loop, p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """One sweep loop alone on a stack of one, its result finalized as
     ``sinkhorn_auto`` finalizes its own: ``_lockstep``, which must not fail,
     or ``_absorbed_lockstep``."""
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    p, q, C = _check_instance(p, q, cost)
     P, Q, C = p[None], q[None], C[None]
     solved = loop(-lam * C, P, Q, tol, max_iter)
     stabilized = loop is _absorbed_lockstep
@@ -242,7 +243,7 @@ def log_domain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """The pure log-sum-exp iteration: both kernel products of every sweep
     by log-sum-exp.  The log-domain loop must reproduce its iterates up to
     round-off."""
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    p, q, C = _check_instance(p, q, cost)
     km = -lam * C
     log_p = np.log(p)
     log_q = np.log(q)
@@ -320,7 +321,7 @@ def assert_same_as_alone(batch, k, alone, atol):
 def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """The multiplicative iteration as a flat loop, without underflow
     guards.  The batched plain loop must reproduce its iterates."""
-    p, q, C = _validate_inputs(p, q, cost, lam, tol, max_iter)
+    p, q, C = _check_instance(p, q, cost)
     K = np.exp(-lam * C)
     u = np.ones(p.size)
     v = np.ones(q.size)
