@@ -7,15 +7,18 @@ conditional branch distributions.  The regularized variant solves each
 subproblem by a scaling iteration and propagates the full entropic
 objective.  A stage is solved in groups of same-shape subproblems into one
 :class:`StageTable` of dense arrays, which later stage walks read by the
-trees' index arrays.  A flat linear program over leaf-pair variables with
-cross-multiplied conditional-marginal constraints is an independent oracle
-for both; the remaining functions verify flat feasibility of the composed
-plan, objective equality, the Gibbs decomposition of the composed coupling,
-the comparison bounds, and the martingale property of the dual process.
+trees' index arrays: an exact group of a small shape by trying every basis
+of the shape at once, a regularized group by the batched scaling solver.
+A flat linear program over leaf-pair variables with cross-multiplied
+conditional-marginal constraints is an independent oracle for both; the
+remaining functions verify flat feasibility of the composed plan,
+objective equality, the Gibbs decomposition of the composed coupling, the
+comparison bounds, and the martingale property of the dual process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -26,7 +29,7 @@ import numpy as np
 
 from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
-from .sinkhorn import (CheckResult, _BatchResult, _check_settings, _marginal_errors,
+from .sinkhorn import (CheckResult, _BatchResult, _check_settings, _finalize, _marginal_errors,
                        _sinkhorn_batch, _stacked_entropy, bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
@@ -64,6 +67,12 @@ BOUND_TOL = 1e-12         # marginal stopping tolerance per nested run
 BOUND_MAX_ITER = 200_000  # sweep cap per subproblem
 
 FLAT_LP_MAX_CELLS = 40_000  # leaf pairs beyond which flat_nested_lp refuses an instance
+
+# the exact stage solve by basis enumeration
+_BASIS_MAX_TREES = 432          # bases of a shape beyond which its LPs go to the simplex
+_BASIS_MAX_ENTRIES = 1 << 14    # problems x bases x cells per chunk of a group
+_PRIMAL_TOL = 1e-14             # how far below zero a basic mass may fall
+_DUAL_TOL = 1e-12               # the same for a reduced cost, relative to 1 + max |cost|
 
 
 @dataclass(eq=False)
@@ -252,30 +261,118 @@ def _compose(tree_a: ScenarioTree, tree_b: ScenarioTree, tables: list[StageTable
     return out
 
 
+@functools.cache
+def _bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spanning trees of the complete bipartite graph K(m, n), which are
+    the bases of the m x n transportation LP: their basic cells ``[T, m+n-1]``
+    (cell ``i * n + j``, in lexicographic order) and the inverses ``[T, m+n-1,
+    m+n-1]`` of their basis matrices.  The constraints are the row sums of
+    rows 1..m-1, then the column sums; row 0's is dropped, which pins its
+    dual to zero.  A cell subset is a tree exactly when its basis matrix is
+    nonsingular, and the matrix is totally unimodular, so the determinant
+    is 0 or +-1 and the inverse is integral: it is rounded to be exact."""
+    k = m + n - 1
+    cells = np.arange(m * n)
+    rows, cols = np.divmod(cells, n)
+    A = np.zeros((k, m * n))
+    A[rows[rows > 0] - 1, cells[rows > 0]] = 1.0
+    A[m - 1 + cols, cells] = 1.0
+    subsets = np.array(list(itertools.combinations(range(m * n), k))).reshape(-1, k)
+    basis = A[:, subsets].transpose(1, 0, 2)
+    trees = np.abs(np.linalg.det(basis)) > 0.5
+    tables = subsets[trees], np.rint(np.linalg.inv(basis[trees]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _basis_chunk(P: np.ndarray, Q: np.ndarray, C: np.ndarray, cells: np.ndarray,
+                 inverse: np.ndarray):
+    """Optimal basic solutions of a stack ``[B, m, n]`` by trying every basis
+    of :func:`_bases` at once.  The first basis whose masses are feasible
+    (down to ``-_PRIMAL_TOL``) and whose duals price every cell feasibly
+    (down to ``-_DUAL_TOL * (1 + max |cost|)``) is optimal, its duals the
+    certificate; only the primal-feasible bases are priced.  Returns the
+    plans with those masses clipped at zero, the duals, and the mask of
+    problems that no basis passed."""
+    B, m, n = C.shape
+    T, k = cells.shape
+    flat = C.reshape(B, m * n)
+    # einsum, not BLAS, so a problem's sums do not depend on the stack around it
+    mass = np.einsum("tij,bj->bti", inverse, np.concatenate([P[:, 1:], Q], axis=1))
+    # the primal-feasible (problem, basis) pairs, bases in order within a problem
+    b, t = np.nonzero((mass >= -_PRIMAL_TOL).all(axis=2))
+    duals = np.einsum("ni,nil->nl", flat[b[:, None], cells[t]], inverse[t])
+    row = np.concatenate([np.zeros((len(b), 1)), duals[:, :m - 1]], axis=1)
+    reduced = C[b] - row[:, :, None] - duals[:, None, m - 1:]
+    slack = -_DUAL_TOL * (1.0 + np.abs(flat).max(axis=1))
+    passed = (reduced >= slack[b, None, None]).all(axis=(1, 2))
+    solved, first = np.unique(b[passed], return_index=True)
+    pick = np.flatnonzero(passed)[first]
+    plan = np.zeros((B, m * n))
+    plan[solved[:, None], cells[t[pick]]] = np.maximum(mass[solved, t[pick]], 0.0)
+    dual_row, dual_col = np.zeros((B, m)), np.zeros((B, n))
+    dual_row[solved], dual_col[solved] = row[pick], duals[pick, m - 1:]
+    failed = np.ones(B, dtype=bool)
+    failed[solved] = False
+    return plan.reshape(B, m, n), dual_row, dual_col, failed
+
+
 def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray) -> _BatchResult:
-    """One transportation LP per problem of a group, stacked in the layout of
-    :func:`_sinkhorn_batch`; no sweeps, and the value is the LP optimum.  A
-    group with a single row or column needs no simplex: its one feasible
-    plan is ``outer(p, q)``, and its duals are the ones the simplex pins,
-    row 0 at zero and the rest read off column 0 and row 0 of the cost."""
-    _, m, n = C.shape
+    """The transportation LPs of a group, stacked in the layout of
+    :func:`_sinkhorn_batch`; no sweeps, and the value is the LP optimum.
+    The duals are pinned as the simplex pins them, row 0 at zero.  A group
+    with a single row or column needs no search: its one feasible plan is
+    ``outer(p, q)``, and its duals are read off column 0 and row 0 of the
+    cost.  Any other shape with at most :data:`_BASIS_MAX_TREES` bases is
+    solved by :func:`_basis_chunk`, in chunks of at most
+    :data:`_BASIS_MAX_ENTRIES` reduced costs; larger shapes, and any problem
+    no basis passed, go to :func:`solve_transport_lp` one by one."""
+    B, m, n = C.shape
     if m == 1 or n == 1:
         plan = P[:, :, None] * Q[:, None, :]
-        value = (plan * C).sum(axis=(1, 2))
         dual_row, dual_col = C[:, :, 0] - C[:, :1, 0], C[:, 0, :]
+        failed = np.zeros(B, dtype=bool)
     else:
-        lps = [solve_transport_lp(p, q, c) for p, q, c in zip(P, Q, C)]
-        plan = np.array([lp.plan.matrix for lp in lps])
-        value = np.array([lp.value for lp in lps])
-        dual_row = np.array([lp.dual_row for lp in lps])
-        dual_col = np.array([lp.dual_col for lp in lps])
-    sweeps = np.zeros(len(C), dtype=int)
+        plan, dual_row, dual_col = np.empty(C.shape), np.empty(P.shape), np.empty(Q.shape)
+        failed = np.ones(B, dtype=bool)
+        if m ** (n - 1) * n ** (m - 1) <= _BASIS_MAX_TREES:
+            cells, inverse = _bases(m, n)
+            step = max(1, _BASIS_MAX_ENTRIES // (len(cells) * m * n))
+            for start in range(0, B, step):
+                chunk = slice(start, start + step)
+                plan[chunk], dual_row[chunk], dual_col[chunk], failed[chunk] = _basis_chunk(
+                    P[chunk], Q[chunk], C[chunk], cells, inverse)
+    for b in np.flatnonzero(failed):
+        lp = solve_transport_lp(P[b], Q[b], C[b])
+        plan[b], dual_row[b], dual_col[b] = lp.plan.matrix, lp.dual_row, lp.dual_col
+    value = (plan * C).sum(axis=(1, 2))
+    sweeps = np.zeros(B, dtype=int)
     return _BatchResult(
         plan=plan, d_s=value, entropy=_stacked_entropy(plan), de_s=value,
         dual_row=dual_row, dual_col=dual_col, iterations=sweeps,
         marginal_error=_marginal_errors(plan, P, Q), converged=sweeps == 0,
         stabilized=sweeps > 0, newton=sweeps,
     )
+
+
+def _sinkhorn_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol: float,
+                    max_iter: int) -> _BatchResult:
+    """:func:`_sinkhorn_batch` on a group of the regularized recursion, except
+    that a group with a single row or column takes its one feasible plan,
+    ``outer(p, q)``, with no sweeps.  Its log scalings solve
+    ``log u_i + log v_j = log plan_ij + lam * cost_ij`` with the largest
+    row scaling at one."""
+    B, m, n = C.shape
+    if m > 1 and n > 1:
+        return _sinkhorn_batch(P, Q, C, lam, tol, max_iter)
+    plan = P[:, :, None] * Q[:, None, :]
+    log_plan = np.log(plan)
+    gibbs = log_plan + lam * C
+    log_v = gibbs.max(axis=1)
+    none = np.zeros(B, dtype=int)
+    return _finalize(P, Q, C, lam, tol, plan, log_plan, gibbs[:, :, 0] - log_v[:, :1], log_v,
+                     none, none > 0)
 
 
 def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
@@ -316,8 +413,12 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
 
     Every conditional subproblem is a transportation LP over the child pairs
     with the stage-(t+1) values as costs; the root value's r-th root is the
-    distance.  The composed leaf-pair plan is optimal for the flat
-    formulation with conditional-marginal constraints.
+    distance.  A stage's LPs of one shape are solved together by
+    :func:`_lp_group`: a shape with one row or column in closed form, other
+    shapes with at most :data:`_BASIS_MAX_TREES` bases (up to 4x3, 3x4, 2x6
+    and 6x2) by basis enumeration, larger ones by one simplex per pair.  A degenerate
+    LP may end at any optimal vertex.  The composed leaf-pair plan is
+    optimal for the flat formulation with conditional-marginal constraints.
     """
     return _recursion(tree_a, tree_b, r, _lp_group, lambda plan, cost, root: (max(root, 0.0),) * 2,
                       "exact", None)
@@ -329,24 +430,26 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
 
     Each conditional subproblem is solved by the scaling iteration and
     contributes its full entropic objective as the cost seen one stage
-    earlier.  A stage's subproblems are grouped by shape and each group is
-    solved by :func:`_sinkhorn_batch`: a short block of sweeps, in the plain
+    earlier.  A stage's subproblems are grouped by shape.  A group with a
+    single row or column takes its one feasible plan, the product of the
+    marginals, with no sweeps; every other group is solved by
+    :func:`_sinkhorn_batch`: a short block of sweeps, in the plain
     loop for subproblems inside the safe exponent range and in one
     log-domain loop for the rest and for those on which the plain one
     underflowed, then batched Newton steps for the subproblems still
     unconverged, alternating with doubling blocks of log-domain sweeps where
-    Newton stalls.  Every subproblem keeps the sweeps, Newton steps, plan
-    and multipliers ``sinkhorn_auto`` would give it alone; ``stats`` counts
-    both kinds of work per stage.  Subproblems run at tolerance ``tol / T``
-    so the stagewise marginal errors cannot push the composed plan's
-    feasibility beyond ``tol``.  A subproblem that has swept ``max_iter``
-    times unconverged flags the whole result as unconverged instead of
-    raising.
+    Newton stalls.  Every subproblem of such a group keeps the sweeps,
+    Newton steps, plan and multipliers ``sinkhorn_auto`` would give it
+    alone; ``stats`` counts both kinds of work per stage.  Subproblems run
+    at tolerance ``tol / T`` so the stagewise marginal errors cannot push
+    the composed plan's feasibility beyond ``tol``.  A subproblem that has
+    swept ``max_iter`` times unconverged flags the whole result as
+    unconverged instead of raising.
     """
     _check_settings(lam, tol, max_iter)
     # the solver reads tol / T once the driver has checked that T >= 1
     return _recursion(tree_a, tree_b, r,
-                      lambda P, Q, C: _sinkhorn_batch(P, Q, C, lam, tol / tree_a.height, max_iter),
+                      lambda P, Q, C: _sinkhorn_group(P, Q, C, lam, tol / tree_a.height, max_iter),
                       lambda plan, cost, root: (float((plan * cost).sum()), root), "sinkhorn", lam)
 
 

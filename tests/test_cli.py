@@ -135,13 +135,15 @@ class TestCommands:
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]) == 0
         assert len(calls) == 2
 
-    def test_verify_fails_on_unconverged_run(self, tmp_path, capsys):
-        # the bench seed-0 stage-3 pair: at lambda 1000 round-off keeps some
-        # subproblem above tol 1e-12, while every bound row still passes
+    def test_verify_fails_on_unconverged_run(self, tmp_path, capsys, monkeypatch):
+        # the bench seed-0 stage-3 pair at lambda 100 with the bound run's sweep
+        # cap at 100: a 3x2 stage-1 subproblem that needs 150 sweeps stops at
+        # the cap unconverged, while every bound row still passes
+        monkeypatch.setattr(nested, "BOUND_MAX_ITER", 100)
         pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
         path_a, path_b = write_pair(tmp_path, pair)
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
-                     "--lambda", "1000"]) == 1
+                     "--lambda", "100"]) == 1
         _, rows = csv_rows(capsys.readouterr().out)
         assert [row["report"] for row in rows] == ["bounds"] * 4 + ["equivalence"]
         assert all(row["passed"] == "true" for row in rows[:4])

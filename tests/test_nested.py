@@ -36,7 +36,8 @@ from nested_sinkhorn import (
     verify_entropic_equivalence,
     wasserstein_distance,
 )
-from nested_sinkhorn.nested import FLAT_LP_MAX_CELLS, _lp_group
+from nested_sinkhorn import nested as nested_module
+from nested_sinkhorn.nested import _BASIS_MAX_TREES, FLAT_LP_MAX_CELLS, _bases, _lp_group
 
 # the package exports the function ``nested_sinkhorn``, which hides the package itself
 package = importlib.import_module("nested_sinkhorn")
@@ -167,6 +168,111 @@ class TestNestedExact:
         for res in (nested_exact(tree_a, tree_b, 2.0), nested_sinkhorn(tree_a, tree_b, 2.0, 5.0)):
             assert np.array_equal(res.leaf_cost, cost_matrix(tree_a, tree_b, 2.0))
             assert not res.leaf_cost.flags.writeable
+
+
+# every transportation shape up to 6x6 whose LPs are solved by basis enumeration
+CAPPED_SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)
+                 if m ** (n - 1) * n ** (m - 1) <= _BASIS_MAX_TREES]
+
+
+def lp_stack(shape, kind, B=20):
+    """``B`` seeded transportation problems of one shape: random, or one of
+    the degenerate kinds the basis search must pass through."""
+    m, n = shape
+    rng = np.random.default_rng([m, n, len(kind)])
+    P = rng.dirichlet(np.ones(m), size=B)
+    Q = rng.dirichlet(np.ones(n), size=B)
+    C = rng.normal(0.0, 3.0, size=(B, m, n))
+    if kind == "uniform":  # ties everywhere: many optimal vertices and duals
+        P, Q = np.full((B, m), 1.0 / m), np.full((B, n), 1.0 / n)
+        C = rng.integers(0, 3, size=(B, m, n)).astype(float)
+    elif kind == "duplicated":  # two equal rows
+        C[:, -1] = C[:, 0]
+        P[:, -1] = P[:, 0]
+        P /= P.sum(axis=1, keepdims=True)
+    elif kind == "tiny":  # a mass of 1e-9 on either side
+        P[:, 0], Q[:, -1] = 1e-9, 1e-9
+        P /= P.sum(axis=1, keepdims=True)
+        Q /= Q.sum(axis=1, keepdims=True)
+    return P, Q, C
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Record every call the recursion's stage solve makes to ``name``."""
+    calls, original = [], getattr(nested_module, name)
+    monkeypatch.setattr(nested_module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+class TestBasisEnumeration:
+    """The exact stage solve tries every basis of a small shape at once."""
+
+    def test_one_basis_per_spanning_tree(self):
+        assert len(CAPPED_SHAPES) == 12
+        for m, n in CAPPED_SHAPES:
+            cells, inverse = _bases(m, n)
+            # the spanning-tree count of K(m, n)
+            assert len(cells) == m ** (n - 1) * n ** (m - 1)
+            assert cells.shape[1] == inverse.shape[1] == inverse.shape[2] == m + n - 1
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "duplicated", "tiny"])
+    @pytest.mark.parametrize("shape", CAPPED_SHAPES)
+    def test_matches_the_simplex(self, shape, kind, monkeypatch):
+        simplex = count_calls(monkeypatch, "solve_transport_lp")
+        P, Q, C = lp_stack(shape, kind)
+        batch = _lp_group(P, Q, C)
+        assert not simplex
+        for k in range(len(C)):
+            assert batch.de_s[k] == pytest.approx(solve_transport_lp(P[k], Q[k], C[k]).value,
+                                                  rel=1e-12, abs=1e-15)
+        # the plans meet their marginals and the duals certify them
+        eps = 1e-12 * (1.0 + np.abs(C).max(axis=(1, 2)))
+        assert batch.plan.min() >= 0.0
+        assert (batch.marginal_error <= 1e-12).all()
+        reduced = C - batch.dual_row[:, :, None] - batch.dual_col[:, None, :]
+        assert (reduced.min(axis=(1, 2)) >= -eps).all()  # dual feasibility
+        assert (np.where(batch.plan > 0.0, np.abs(reduced), 0.0).max(axis=(1, 2)) <= eps).all()
+        dual_value = (P * batch.dual_row).sum(axis=1) + (Q * batch.dual_col).sum(axis=1)
+        assert (np.abs(dual_value - batch.de_s) <= eps).all()  # zero duality gap
+
+    def test_problems_no_basis_passes_go_to_the_simplex(self, monkeypatch):
+        monkeypatch.setattr(nested_module, "_PRIMAL_TOL", -math.inf)
+        simplex = count_calls(monkeypatch, "solve_transport_lp")
+        P, Q, C = lp_stack((3, 3), "uniform")
+        batch = _lp_group(P, Q, C)
+        assert len(simplex) == len(C)
+        for k in range(len(C)):
+            lp = solve_transport_lp(P[k], Q[k], C[k])
+            assert np.array_equal(batch.plan[k], lp.plan.matrix)
+            assert np.array_equal(batch.dual_row[k], lp.dual_row)
+            assert np.array_equal(batch.dual_col[k], lp.dual_col)
+            assert batch.de_s[k] == pytest.approx(lp.value, rel=1e-15, abs=1e-15)
+
+    def test_chunks_match_single_solves(self):
+        # 81 bases of 9 cells: 22 problems per chunk, so 50 problems take three
+        P, Q, C = lp_stack((3, 3), "random", B=50)
+        batch = _lp_group(P, Q, C)
+        for k in range(len(C)):
+            alone = _lp_group(P[k:k + 1], Q[k:k + 1], C[k:k + 1])
+            for name in ("plan", "de_s", "dual_row", "dual_col"):
+                assert np.array_equal(getattr(batch, name)[k], getattr(alone, name)[0])
+
+    def test_no_simplex_on_the_uneven_pair(self, monkeypatch):
+        simplex = count_calls(monkeypatch, "solve_transport_lp")
+        res = nested_exact(generate_random_tree((1, 4, 1, 3, 2, 1, 3), 0),
+                           generate_random_tree((1, 2, 3, 1, 2, 3, 2), 1))
+        assert res.value > 0.0 and not simplex
+
+    def test_wide_single_child_groups_enumerate_nothing(self, monkeypatch):
+        # one root child against 2000: a 1 x 2000 group has one basis, whose
+        # n x n inverse the closed form never builds
+        bases = count_calls(monkeypatch, "_bases")
+        simplex = count_calls(monkeypatch, "solve_transport_lp")
+        tree_a, tree_b = generate_random_tree((1, 1), 1), generate_random_tree((1, 2000), 2)
+        res = nested_exact(tree_a, tree_b)
+        assert not bases and not simplex
+        expected = (cost_matrix(tree_a, tree_b, 1.0) * tree_b.leaf_probabilities).sum()
+        assert res.value == pytest.approx(expected, rel=1e-12)
 
 
 class TestFlatNestedLp:
@@ -317,8 +423,9 @@ class TestNestedSinkhorn:
 
 def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
     """Check every stage-table entry of a regularized result against
-    ``sinkhorn_auto`` on the same subproblem;
-    returns the reference results."""
+    ``sinkhorn_auto`` on the same subproblem, except that a subproblem with
+    a single row or column takes no sweeps; returns the reference results
+    of the subproblems with more than one row and column."""
     T = len(res.stage_tables)
     # the last stage's nodes are the leaves, in leaf order
     later = [table.value for table in res.stage_tables[1:]] + [cost_matrix(tree_a, tree_b, 1.0)]
@@ -329,14 +436,16 @@ def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
             block = np.ix_(rows, cols)
             ref = sinkhorn_auto(prob_a[t + 1][rows], prob_b[t + 1][cols], nxt[block], lam,
                                 tol / T, max_iter)
-            assert table.iterations[i, j] == ref.iterations
+            swept = len(rows) > 1 and len(cols) > 1
+            assert table.iterations[i, j] == (ref.iterations if swept else 0)
             assert table.converged[i, j] == ref.converged
             assert table.plan[block] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
             assert table.value[i, j] == pytest.approx(ref.de_s, rel=0, abs=1e-12)
             assert table.entropy[i, j] == pytest.approx(ref.entropy, rel=0, abs=1e-12)
             assert table.dual_row[rows, j] == pytest.approx(ref.dual_row, rel=0, abs=1e-12)
             assert table.dual_col[i, cols] == pytest.approx(ref.dual_col, rel=0, abs=1e-12)
-            refs.append(ref)
+            if swept:
+                refs.append(ref)
     return refs
 
 
@@ -358,6 +467,27 @@ class TestStageKernel:
         res = nested_sinkhorn(a, b, 1.0, lam=5.0)
         assert [stage.shapes for stage in res.stats] == [[(1, 2)], [(1, 1)]]
         per_pair_reference(a, b, res, 5.0, 1e-9, 100_000)
+
+    def test_single_child_groups_take_the_product_plan(self):
+        # the bench seed-0 stage-3 pair at lambda 1000: one sweep of a 2x1
+        # stage-2 subproblem leaves a plan up to 6e-13 off its marginals,
+        # against the per-stage tolerance 1e-12 / 3
+        tree_a = generate_random_tree((1, 2, 3, 2), 52)
+        tree_b = generate_random_tree((1, 2, 2, 1), 53)
+        lam = 1000.0
+        res = nested_sinkhorn(tree_a, tree_b, 1.0, lam, tol=1e-12, max_iter=200_000)
+        singles = 0
+        for t, table in enumerate(res.stage_tables):
+            for i, j, rows, cols in stage_pairs(tree_a, tree_b, t):
+                if len(rows) > 1 and len(cols) > 1:
+                    continue
+                singles += 1
+                p = tree_a.stage_index.cond_prob[t + 1][rows]
+                q = tree_b.stage_index.cond_prob[t + 1][cols]
+                assert table.converged[i, j] and table.iterations[i, j] == 0
+                assert np.array_equal(table.plan[np.ix_(rows, cols)], np.outer(p, q))
+                assert table.dual_row[rows, j].max() == 0.5 / lam
+        assert singles == 24
 
     def test_large_lambda_stabilized_fallback(self):
         tree_a, tree_b = height3_pair()
