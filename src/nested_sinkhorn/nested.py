@@ -99,10 +99,12 @@ class StageStats:
     ``shapes`` lists the distinct child-count shapes ``(m, n)`` of the
     stage's subproblems.  ``iterations`` is the stage's total of scaling
     sweeps and the ``iterations_*`` fields its spread over the subproblems
-    (all 0 for exact LPs); ``newton`` is the stage's total of Newton steps
-    and ``stabilized`` counts the subproblems whose first sweeps ran in the
-    log domain.  ``max_marginal_error`` is the largest marginal violation
-    of a stage plan and ``wall_s`` the stage's wall time.
+    (all 0 for exact LPs); ``newton`` is the stage's total of Newton steps,
+    ``stabilized`` counts the subproblems whose first sweeps ran in the log
+    domain and ``stalled`` those stopped unconverged at round-off (any other
+    unconverged one swept ``max_iter`` times).  ``max_marginal_error`` is
+    the largest marginal violation of a stage plan and ``wall_s`` the
+    stage's wall time.
     """
 
     stage: int
@@ -114,6 +116,7 @@ class StageStats:
     iterations_max: int
     newton: int
     stabilized: int
+    stalled: int
     max_marginal_error: float
     wall_s: float
 
@@ -208,7 +211,7 @@ def _solve_stagewise(
             iterations=np.empty((Na, Nb), dtype=int), converged=np.empty((Na, Nb), dtype=bool),
             plan=np.empty((Ma, Mb)), dual_row=np.empty((Ma, Nb)), dual_col=np.empty((Na, Mb)),
         )
-        stabilized = newton = 0
+        stabilized = newton = stalled = 0
         worst = 0.0
         for nodes_a, kids_a in index_a.children[t].values():
             for nodes_b, kids_b in index_b.children[t].values():
@@ -229,6 +232,7 @@ def _solve_stagewise(
                     batch.dual_col.reshape(I, J, n)
                 stabilized += int(batch.stabilized.sum())
                 newton += int(batch.newton.sum())
+                stalled += int(batch.stalled.sum())
                 worst = max(worst, float(batch.marginal_error.max()))
         for array_field in fields(table):
             getattr(table, array_field.name).flags.writeable = False
@@ -243,6 +247,7 @@ def _solve_stagewise(
             iterations_max=int(table.iterations.max()),
             newton=newton,
             stabilized=stabilized,
+            stalled=stalled,
             max_marginal_error=worst,
             wall_s=time.perf_counter() - start,
         ))
@@ -352,7 +357,7 @@ def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray) -> _BatchResult:
         plan=plan, d_s=value, entropy=_stacked_entropy(plan), de_s=value,
         dual_row=dual_row, dual_col=dual_col, iterations=sweeps,
         marginal_error=_marginal_errors(plan, P, Q), converged=sweeps == 0,
-        stabilized=sweeps > 0, newton=sweeps,
+        stabilized=sweeps > 0, newton=sweeps, stalled=sweeps > 0,
     )
 
 
@@ -376,18 +381,24 @@ def _sinkhorn_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
 
 
 def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
-               solve_group: Callable[[np.ndarray, np.ndarray, np.ndarray], _BatchResult],
-               root_values: Callable[[np.ndarray, np.ndarray, float], tuple[float, float]],
-               method: str, lam: Optional[float]) -> NestedResult:
-    """The recursion of both methods, its stages solved by ``solve_group`` as
-    in :func:`_solve_stagewise`; ``root_values(composed, leaf_cost, root)``
-    gives ``value_pow`` and ``value_with_entropy_pow``."""
-    leaf_cost = cost_matrix(tree_a, tree_b, r)
-    leaf_cost.flags.writeable = False
+               lam: Optional[float] = None, tol: float = 0.0, max_iter: int = 0,
+               leaf_cost: Optional[np.ndarray] = None) -> NestedResult:
+    """The exact recursion, or with ``lam`` the regularized one, on the
+    read-only ``leaf_cost``, which is priced here unless given."""
+    if leaf_cost is None:
+        leaf_cost = cost_matrix(tree_a, tree_b, r)
+        leaf_cost.flags.writeable = False
     _check_height(tree_a)
+    # the solver reads tol / T once the driver has checked that T >= 1
+    solve_group = _lp_group if lam is None else (
+        lambda P, Q, C: _sinkhorn_group(P, Q, C, lam, tol / tree_a.height, max_iter))
     tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
     composed = _compose(tree_a, tree_b, tables)
-    value_pow, root_pow = root_values(composed, leaf_cost, float(tables[0].value[0, 0]))
+    root_pow = float(tables[0].value[0, 0])
+    if lam is None:
+        value_pow = root_pow = max(root_pow, 0.0)
+    else:
+        value_pow = float((composed * leaf_cost).sum())
     return NestedResult(
         value=_signed_root(value_pow, r),
         value_with_entropy=_signed_root(root_pow, r),
@@ -399,7 +410,7 @@ def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
         leaf_cost=leaf_cost,
         composed_plan=TransportPlan(composed, tree_a.leaf_probabilities,
                                     tree_b.leaf_probabilities),
-        method=method,
+        method="exact" if lam is None else "sinkhorn",
         lam=lam,
         total_entropy=entropy(composed),
         converged=all(bool(table.converged.all()) for table in tables),
@@ -420,8 +431,7 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
     LP may end at any optimal vertex.  The composed leaf-pair plan is
     optimal for the flat formulation with conditional-marginal constraints.
     """
-    return _recursion(tree_a, tree_b, r, _lp_group, lambda plan, cost, root: (max(root, 0.0),) * 2,
-                      "exact", None)
+    return _recursion(tree_a, tree_b, r)
 
 
 def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
@@ -447,10 +457,7 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     unconverged instead of raising.
     """
     _check_settings(lam, tol, max_iter)
-    # the solver reads tol / T once the driver has checked that T >= 1
-    return _recursion(tree_a, tree_b, r,
-                      lambda P, Q, C: _sinkhorn_group(P, Q, C, lam, tol / tree_a.height, max_iter),
-                      lambda plan, cost, root: (float((plan * cost).sum()), root), "sinkhorn", lam)
+    return _recursion(tree_a, tree_b, r, lam, tol, max_iter)
 
 
 def flat_nested_lp(tree_a: ScenarioTree, tree_b: ScenarioTree,
@@ -625,12 +632,13 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
     ``nde_s <= nd_w <= nd_s``, the gap bounds against the composed-plan
     entropies, and the stage-count cap ``T * (log m_a + log m_b) / lam``
     with ``m_a``, ``m_b`` the largest immediate-successor counts anywhere in
-    the trees.  The regularized run takes :data:`BOUND_TOL` and
-    :data:`BOUND_MAX_ITER`; the cap is the ``upper`` of the last check.
+    the trees.  The regularized run takes :data:`BOUND_TOL`,
+    :data:`BOUND_MAX_ITER` and the exact run's leaf costs; the cap is the
+    ``upper`` of the last check.
     """
     _check_settings(lam, BOUND_TOL, BOUND_MAX_ITER)
     exact = nested_exact(tree_a, tree_b, r)
-    sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=BOUND_TOL, max_iter=BOUND_MAX_ITER)
+    sink = _recursion(tree_a, tree_b, r, lam, BOUND_TOL, BOUND_MAX_ITER, exact.leaf_cost)
     nd_w = exact.value_pow
     nd_s = sink.value_pow
     nde_s = sink.value_with_entropy_pow
@@ -734,7 +742,7 @@ def lambda_sweep(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
                  max_iter: int = 100_000) -> list[SweepRow]:
     """Regularized nested values across a grid of regularization levels.
 
-    The exact value is computed once and repeated per row; wall times are
+    The exact value and the leaf costs are computed once; wall times are
     reported but carry no determinism guarantee.
     """
     lambdas = list(lambdas)
@@ -748,7 +756,7 @@ def lambda_sweep(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     rows = []
     for lam in lambdas:
         start = time.perf_counter()
-        sink = nested_sinkhorn(tree_a, tree_b, r, lam, tol=tol, max_iter=max_iter)
+        sink = _recursion(tree_a, tree_b, r, lam, tol, max_iter, exact.leaf_cost)
         elapsed = time.perf_counter() - start
         rows.append(
             SweepRow(

@@ -13,9 +13,10 @@ One dispatcher chooses the form per problem, sweeps a short block, and
 finishes the problems still unconverged by damped Newton steps on the
 semi-dual (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635), going back to
 log-domain sweeps, in doubling blocks, wherever a Newton phase stops short
-of the tolerance.  It solves the stagewise subproblems of the nested
-recursion, and :func:`sinkhorn_auto`, the one flat solver, is a stack of
-one.  Every result carries the dual multipliers of its scalings.
+of the tolerance, until the error meets it or stalls at round-off.  It
+solves the stagewise subproblems of the nested recursion; the one flat
+solver, :func:`sinkhorn_auto`, is a stack of one.  Every result carries
+the dual multipliers of its scalings.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ STABILIZE_THRESHOLD = 600.0  # |lam * cost| beyond which exp() risks under/overf
 BOUND_SLACK = 1e-8           # tolerance granted to every checked inequality
 _ABSORB_RANGE = (1e-30, 1e30)  # the log-domain loop keeps its scalings strictly inside
 _SWEEP_BLOCK = 50     # sweeps before a problem's first Newton phase; later blocks double
-_NEWTON_CAP = 8.0     # largest change of a log potential in one Newton step
+_NEWTON_CAP = 8.0     # a Newton step's first trust radius: its largest change of a log potential
 _ARMIJO = 1e-4        # sufficient increase of the semi-dual objective along a step
 _LINE_SEARCH = 30     # step halvings before a Newton step is given up
 _PHASE_STEPS = 200    # Newton steps in one phase at most
 _RIDGE = 1e-12        # added to the unit diagonal of the scaled Newton system
+_EXP_FLOOR = -700.0   # exponents below it give exact zeros, never subnormals
+_PLATEAU = 16 * np.finfo(float).eps  # round-off of an error or objective per unit log potential
 
 
 @dataclass
@@ -148,7 +151,8 @@ def _check_settings(lam: float, tol: float, max_iter: int) -> None:
 class _BatchResult:
     """Outcomes of a stack of problems, one entry per problem along the
     leading axis.  The fields mirror :class:`SinkhornResult`; ``newton``
-    counts each problem's Newton steps."""
+    counts each problem's Newton steps, and ``stalled`` marks the problems
+    stopped unconverged at the round-off floor of their potentials."""
 
     plan: np.ndarray
     d_s: np.ndarray
@@ -161,6 +165,7 @@ class _BatchResult:
     converged: np.ndarray
     stabilized: np.ndarray
     newton: np.ndarray
+    stalled: np.ndarray
 
 
 def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -170,7 +175,7 @@ def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarr
 
 
 def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
-              stabilized, newton=None) -> _BatchResult:
+              stabilized, newton=None, stalled=None) -> _BatchResult:
     """Results of a stack of solved problems, in either form, from the plans,
     the logs of their entries and the log scalings, whose multipliers are
     ``(log scaling + 1/2) / lam``.  Raises where a log scaling is not finite."""
@@ -191,6 +196,7 @@ def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
         converged=marginal_error <= tol,
         stabilized=stabilized,
         newton=np.zeros(len(plan), dtype=int) if newton is None else newton,
+        stalled=np.zeros(len(plan), dtype=bool) if stalled is None else stalled,
     )
 
 
@@ -257,9 +263,14 @@ def _lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter
         return plan, np.log(np.minimum(plan, 1.0)), np.log(u_out), np.log(v_out), iterations, failed
 
 
+def _exp(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` with exact zeros for the subnormals, whose arithmetic is slow."""
+    return np.exp(a, out=np.zeros(a.shape), where=a > _EXP_FLOOR)
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     peak = a.max(axis=axis, keepdims=True)
-    return peak.squeeze(axis) + np.log(np.exp(a - peak).sum(axis=axis))
+    return peak.squeeze(axis) + np.log(_exp(a - peak).sum(axis=axis))
 
 
 def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
@@ -303,7 +314,7 @@ def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
             if redo.size:
                 f[redo] = log_P[redo] - _logsumexp(exponent[redo] + g[redo, None, :], axis=2)
                 g[redo] = log_Q[redo] - _logsumexp(exponent[redo] + f[redo, :, None], axis=1)
-                K[redo] = np.exp(f[redo, :, None] + exponent[redo] + g[redo, None, :])
+                K[redo] = _exp(f[redo, :, None] + exponent[redo] + g[redo, None, :])
                 u[redo] = 1.0
                 v[redo] = 1.0
             it += 1
@@ -345,7 +356,7 @@ def _gibbs_plans(km: np.ndarray, f: np.ndarray, g: np.ndarray):
     f = f - shift
     g = g + shift
     log_plan = f[:, :, None] + km + g[:, None, :]
-    return np.exp(log_plan), log_plan, f, g
+    return _exp(log_plan), log_plan, f, g
 
 
 def _semi_dual(km: np.ndarray, log_Q: np.ndarray, f: np.ndarray):
@@ -368,30 +379,31 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
     weights (the form ``diag(r) - X diag(1/q) X^T`` cancels weak couplings
     to zero).  The first potential is pinned, which removes the free shift;
     the rest of the Laplacian is scaled to a unit diagonal by its degrees
-    (1 where a degree is 0) and gets :data:`_RIDGE` on it, so no system is
-    singular however weak its couplings.  A step is capped at :data:`_NEWTON_CAP` in every
-    potential and halved until the max-norm marginal error drops or the
-    semi-dual objective passes an Armijo test.  Every problem takes a step,
-    since its plan misses the tolerance and the error measured here differs
-    from the plan's by round-off.  It stops on its tolerance, after
-    :data:`_PHASE_STEPS` steps, or after a step that neither halves its
-    error nor was capped and taken whole: such steps cross couplings too
-    weak to move the error at first.  Returns the last potentials, the step
-    counts and the mask of converged problems.
+    (a degree of 0 as the smallest normal number, so an uncoupled potential
+    steps as far as allowed) and gets :data:`_RIDGE` on it, so no system is
+    singular.  A step is capped in every potential at a trust radius that
+    starts at :data:`_NEWTON_CAP`, doubles after a capped step taken whole
+    and falls back after any other.  It is halved until the semi-dual
+    objective passes an Armijo test, or the max-norm marginal error drops
+    while the objective stays within its round-off.  Every problem takes a
+    step, since its plan misses the tolerance, and its phase ends on its
+    tolerance, when its line search gives up, or after :data:`_PHASE_STEPS`
+    steps.  Returns the last potentials and the step counts; the caller
+    judges convergence on the plan it rebuilds, whose error differs from the
+    one measured here by round-off.
     """
     if km.shape[1] > km.shape[2]:
-        g, f, steps, converged = _newton(np.ascontiguousarray(km.transpose(0, 2, 1)), Q, P,
-                                         g, f, tol)
-        return f, g, steps, converged
+        g, f, steps = _newton(np.ascontiguousarray(km.transpose(0, 2, 1)), Q, P, g, f, tol)
+        return f, g, steps
     A, m, _ = km.shape
     log_Q = np.log(Q)
     g, log_x = _semi_dual(km, log_Q, f)
-    X = np.exp(log_x)
+    X = _exp(log_x)
     err = _marginal_errors(X, P, Q)
     objective = (P * f).sum(axis=1) + (Q * g).sum(axis=1)
     f_out, g_out = f.copy(), g
     steps = np.zeros(A, dtype=int)
-    converged = np.zeros(A, dtype=bool)
+    radius = np.full(A, _NEWTON_CAP)
     active = np.arange(A)
     diagonal = np.arange(m)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -400,13 +412,13 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
             weights = X @ (X / Q[:, None, :]).transpose(0, 2, 1)
             weights[:, diagonal, diagonal] = 0.0
             degree = weights.sum(axis=2)
-            scale = 1.0 / np.sqrt(np.where(degree > 0.0, degree, 1.0))
+            scale = 1.0 / np.sqrt(np.maximum(degree, np.finfo(float).tiny))
             scale[:, 0] = 0.0  # pins the first potential
             hessian = -weights * scale[:, :, None] * scale[:, None, :]
             hessian[:, diagonal, diagonal] = 1.0 + _RIDGE
             step = scale * np.linalg.solve(hessian, (scale * grad)[:, :, None])[:, :, 0]
             longest = np.abs(step).max(axis=1)
-            step *= np.minimum(1.0, _NEWTON_CAP / longest)[:, None]
+            step *= np.minimum(1.0, radius / longest)[:, None]
             slope = (grad * step).sum(axis=1)
             steps[active] += 1
             t = np.ones(len(active))
@@ -416,11 +428,13 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
             for _ in range(_LINE_SEARCH):
                 f_try = f[trying] + t[trying, None] * step[trying]
                 g_try, log_x = _semi_dual(km[trying], log_Q[trying], f_try)
-                X_try = np.exp(log_x)
+                X_try = _exp(log_x)
                 err_try = _marginal_errors(X_try, P[trying], Q[trying])
                 objective_try = (P[trying] * f_try).sum(axis=1) + (Q[trying] * g_try).sum(axis=1)
-                ok = ((err_try < err[trying])
-                      | (objective_try >= objective[trying] + _ARMIJO * t[trying] * slope[trying]))
+                noise = _PLATEAU * np.maximum(np.abs(f_try).max(axis=1), np.abs(g_try).max(axis=1))
+                gain = objective_try - objective[trying]
+                ok = (((err_try < err[trying]) & (gain >= -noise))
+                      | (gain >= _ARMIJO * t[trying] * slope[trying]))
                 took = trying[ok]
                 f[took], X[took], new_err[took] = f_try[ok], X_try[ok], err_try[ok]
                 objective[took] = objective_try[ok]
@@ -430,14 +444,12 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
                 if not trying.size:
                     break
                 t[trying] *= 0.5
-            done = accepted & (new_err <= tol)
-            converged[active[done]] = True
-            going = (accepted & ~done & (steps[active] < _PHASE_STEPS)
-                     & ((new_err <= 0.5 * err) | ((longest > _NEWTON_CAP) & (t == 1.0))))
+            going = accepted & (new_err > tol) & (steps[active] < _PHASE_STEPS)
+            radius = np.where((longest > radius) & (t == 1.0), 2.0 * radius, _NEWTON_CAP)[going]
             active = active[going]
             f, X, err, objective = f[going], X[going], new_err[going], objective[going]
             km, P, Q, log_Q = km[going], P[going], Q[going], log_Q[going]
-    return f_out, g_out, steps, converged
+    return f_out, g_out, steps
 
 
 def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
@@ -449,7 +461,7 @@ def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
     the log-domain form takes over.  A problem still unconverged after
     ``min(_SWEEP_BLOCK, max_iter)`` sweeps is finished by Newton steps and,
     where they stop making progress, more log-domain sweeps; ``max_iter``
-    caps the sweeps.
+    caps the sweeps, and an error stalled at round-off stops them sooner.
     """
     p, q, C = _check_instance(p, q, cost)
     _check_settings(lam, tol, max_iter)
@@ -471,11 +483,14 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
     problems whose kernel products or row scalings underflowed there, by
     the log-domain iteration of :func:`_absorbed_lockstep` in one call, the
     failed ones again from scratch.  The problems still unconverged with
-    sweeps left take :func:`_newton` steps; those it does not finish sweep
-    again in the log domain from its potentials, for twice the previous
-    block, and so on until each converges or has swept ``max_iter`` times.  Every decision
-    is taken per problem, so each keeps the sweep and Newton counts, plan
-    and multipliers it would have alone.
+    sweeps left take a phase of :func:`_newton` steps; those it does not
+    finish sweep again in the log domain from its potentials, for twice the
+    previous block, and so on, until each plan meets ``tol`` or has swept
+    ``max_iter`` times.  A problem is ``stalled``, and stops, when a round
+    of Newton steps and sweeps did not lower its error, which is within
+    :data:`_PLATEAU` of its largest log potential.  Every decision is taken
+    per problem, so each keeps the sweep and Newton counts, plan and
+    multipliers it would have alone.
     """
     B = len(C)
     km = -lam * C
@@ -493,14 +508,16 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
     for out, result in zip(solved, _absorbed_lockstep(km[logs], P[logs], Q[logs], tol, block)):
         out[logs] = result
     newton = np.zeros(B, dtype=int)
-    active = np.flatnonzero((_marginal_errors(plan, P, Q) > tol) & (iterations < max_iter))
+    stalled = np.zeros(B, dtype=bool)
+    err = _marginal_errors(plan, P, Q)
+    active = np.flatnonzero((err > tol) & (iterations < max_iter))
     while active.size:
-        f, g, steps, done = _newton(km[active], P[active], Q[active], log_u[active],
-                                    log_v[active], tol)
+        f, g, steps = _newton(km[active], P[active], Q[active], log_u[active], log_v[active], tol)
         newton[active] += steps
         for out, result in zip(solved, _gibbs_plans(km[active], f, g)):
             out[active] = result
-        active, g = active[~done], g[~done]
+        going = _marginal_errors(plan[active], P[active], Q[active]) > tol
+        active, g = active[going], g[going]
         if not active.size:
             break
         block = min(2 * block, max_iter - int(iterations[active].max()))
@@ -508,9 +525,14 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
         for out, result in zip(solved[:4], resumed):
             out[active] = result
         iterations[active] += resumed[4]
-        active = active[(_marginal_errors(plan[active], P[active], Q[active]) > tol)
-                        & (iterations[active] < max_iter)]
-    return _finalize(P, Q, C, lam, tol, *solved, stabilized=stabilized, newton=newton)
+        last = err[active]
+        err[active] = _marginal_errors(plan[active], P[active], Q[active])
+        floor = _PLATEAU * np.maximum(np.abs(log_u[active]).max(axis=1),
+                                      np.abs(log_v[active]).max(axis=1))
+        stalled[active] = (err[active] >= last) & (err[active] <= floor)
+        active = active[(err[active] > tol) & (iterations[active] < max_iter) & ~stalled[active]]
+    return _finalize(P, Q, C, lam, tol, *solved, stabilized=stabilized, newton=newton,
+                     stalled=stalled)
 
 
 def bound_certificates(cost, sink: SinkhornResult, lp: LpSolution) -> BoundReport:

@@ -106,24 +106,22 @@ class TestCommands:
         assert all(row["passed"] == "true" for row in rows)
 
     def test_verify_solves_once(self, tmp_path, capsys, monkeypatch):
+        # one exact and one regularized recursion, each solving every stage once
         calls = []
+        solve_stagewise = nested._solve_stagewise
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(tree_a, tree_b, leaf_cost, solve_group):
+            calls.append("exact" if solve_group is nested._lp_group else "sinkhorn")
+            return solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
 
-        for name in ("nested_exact", "nested_sinkhorn"):
-            wrapped = counted(getattr(nested, name))
-            monkeypatch.setattr(nested, name, wrapped)
-            monkeypatch.setattr(cli, name, wrapped)
+        monkeypatch.setattr(nested, "_solve_stagewise", counted)
         path_a, path_b = write_pair(tmp_path, height3_pair())
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]) == 0
-        assert sorted(calls) == ["nested_exact", "nested_sinkhorn"]
+        assert sorted(calls) == ["exact", "sinkhorn"]
 
-    def test_verify_builds_the_leaf_cost_once_per_recursion(self, tmp_path, capsys, monkeypatch):
-        # the reports read the cost matrix off the regularized run
+    def test_verify_builds_the_leaf_cost_once(self, tmp_path, capsys, monkeypatch):
+        # the regularized run takes the exact run's cost matrix, and the
+        # reports read it off the regularized run
         calls = []
 
         def counted(*args, **kwargs):
@@ -133,21 +131,35 @@ class TestCommands:
         monkeypatch.setattr(nested, "cost_matrix", counted)
         path_a, path_b = write_pair(tmp_path, height3_pair())
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_verify_fails_on_unconverged_run(self, tmp_path, capsys, monkeypatch):
-        # the bench seed-0 stage-3 pair at lambda 100 with the bound run's sweep
-        # cap at 100: a 3x2 stage-1 subproblem that needs 150 sweeps stops at
-        # the cap unconverged, while every bound row still passes
-        monkeypatch.setattr(nested, "BOUND_MAX_ITER", 100)
+        # the bench seed-0 stage-3 pair at lambda 5 with the bound run's sweep
+        # cap at 40, below the first sweep block: two 3x2 stage-1 subproblems
+        # stop at the cap unconverged, before any Newton step, while every
+        # bound row still passes
+        monkeypatch.setattr(nested, "BOUND_MAX_ITER", 40)
         pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
         path_a, path_b = write_pair(tmp_path, pair)
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
-                     "--lambda", "100"]) == 1
+                     "--lambda", "5"]) == 1
         _, rows = csv_rows(capsys.readouterr().out)
         assert [row["report"] for row in rows] == ["bounds"] * 4 + ["equivalence"]
         assert all(row["passed"] == "true" for row in rows[:4])
         assert rows[-1]["check"] == "converged" and rows[-1]["passed"] == "false"
+
+    def test_verify_reports_stalled_subproblems(self, tmp_path, capsys):
+        # the same pair at lambda 2000: three 3x2 stage-1 subproblems stop at
+        # the round-off floor, above their per-stage tolerance 1e-12 / 3, and
+        # the json stats count them
+        pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
+        path_a, path_b = write_pair(tmp_path, pair)
+        assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
+                     "--lambda", "2000", "--output", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert all(row["passed"] is True for row in doc["rows"][:4])
+        assert doc["rows"][-1]["check"] == "converged"
+        assert [stage["stalled"] for stage in doc["stats"]] == [0, 3, 0]
 
     def test_gen_writes_tree(self, tmp_path, capsys):
         out = tmp_path / "tree.json"

@@ -415,6 +415,20 @@ class TestNestedSinkhorn:
         res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=30.0, tol=1e-12, max_iter=2)
         assert not res.converged
 
+    # the bench seed-0 stage-3 pair at the bound report's tolerance and sweep
+    # cap, where 3x2 stage-1 subproblems meet round-off at large lam
+    @pytest.mark.parametrize("lam", [1000.0, 2000.0, 2500.0])
+    def test_round_off_floor(self, lam):
+        pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
+        max_iter = 200_000
+        res = nested_sinkhorn(*pair, 1.0, lam, tol=1e-12, max_iter=max_iter)
+        assert res.converged or lam > 1000.0
+        for table, stage in zip(res.stage_tables, res.stats):
+            # every unconverged subproblem stopped at the floor, none at the cap
+            assert stage.stalled == int((~table.converged).sum())
+            assert not (table.iterations >= max_iter).any()
+        assert res.total_iterations < 20_000
+
     def test_invalid_lambda(self):
         tree_a, tree_b = height3_pair()
         with pytest.raises(ValueError, match="positive"):
