@@ -2,9 +2,10 @@
 
 A transportation simplex on the basis tree, whose nodes are the rows and
 columns, whose arcs are the basic cells and whose root is row 0 (potential
-pinned to zero).  North-west-corner start; Dantzig pricing, with Bland's
-rule after a streak of zero-step pivots so cycling cannot occur; leaving
-ties go to the lowest cell index.  The returned duals certify the optimum.
+pinned to zero); each node keeps the mass on the arc to its parent.
+Least-cost (matrix-minimum) start; Dantzig pricing, with Bland's rule after
+a streak of zero-step pivots so cycling cannot occur; leaving ties go to
+the lowest cell index.  The returned duals certify the optimum.
 """
 
 from __future__ import annotations
@@ -96,35 +97,40 @@ class LpSolution:
     plan: TransportPlan
     dual_row: np.ndarray
     dual_col: np.ndarray
+    pivots: int  # simplex pivots the solve took
 
 
-def _northwest_corner(p: np.ndarray, q: np.ndarray):
+def _least_cost_start(p: np.ndarray, q: np.ndarray, C: np.ndarray):
     """Initial basic feasible solution with exactly n + m - 1 cells.
 
-    Degenerate (zero) cells are kept so the basis stays a spanning tree.
+    Cells are taken in stable cost order (the matrix-minimum rule), each
+    with min(a_i, b_j).  A cell closes its row when a_i <= b_j or its column
+    is the last open one, unless the row is the last open one; otherwise it
+    closes its column.  (Marginals whose sums differ by round-off can leave
+    the last column short of a row while other rows are open.)  Degenerate
+    (zero) cells are kept so the basis stays a spanning tree.
     """
-    n, m = p.size, q.size
-    a = p.copy()
-    b = q.copy()
+    n, m = C.shape
+    a, b = p.tolist(), q.tolist()
+    row_open, col_open = [True] * n, [True] * m
+    rows, cols = n, m
     cells: list[tuple[int, int, float]] = []
-    i = j = 0
-    for k in range(n + m - 1):
+    for k in np.argsort(C, axis=None, kind="stable").tolist():
+        i, j = divmod(k, m)
+        if not (row_open[i] and col_open[j]):
+            continue
         v = min(a[i], b[j])
-        if v < 0.0:
-            v = 0.0
         cells.append((i, j, v))
+        if len(cells) == n + m - 1:
+            break
         a[i] -= v
         b[j] -= v
-        if k == n + m - 2:
-            break
-        if i == n - 1:
-            j += 1
-        elif j == m - 1:
-            i += 1
-        elif a[i] <= b[j]:
-            i += 1
+        if rows > 1 and (a[i] <= b[j] or cols == 1):
+            row_open[i] = False
+            rows -= 1
         else:
-            j += 1
+            col_open[j] = False
+            cols -= 1
     return cells
 
 
@@ -133,23 +139,18 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
 
     ``p`` and ``q`` must be strictly positive probability vectors and
     ``cost`` a finite matrix of shape ``(len(p), len(q))``.  Returns an
-    optimal basic solution.  A pivot enters the cell of most negative
-    reduced cost, or after ``_DEGENERATE_SWITCH`` zero-step pivots in a row
-    the lowest-index negative one, until a pivot moves mass again.  Past
-    ``_MAX_PIVOTS`` pivots it raises ``RuntimeError`` naming the shape and limit.
+    optimal basic solution, reached from a least-cost start.  A pivot enters
+    the cell of most negative reduced cost, or after ``_DEGENERATE_SWITCH``
+    zero-step pivots in a row the lowest-index negative one, until a pivot
+    moves mass again.  Past ``_MAX_PIVOTS`` pivots it raises
+    ``RuntimeError`` naming the shape and limit.
     """
     p, q, C = _check_instance(p, q, cost)
     n, m = C.shape
     costs = C.tolist()
-    flow: dict[int, float] = {}  # mass of basic cell i * m + j
     adj: list[list[int]] = [[] for _ in range(n + m)]  # row i: node i, column j: node n + j
-    basic = np.zeros(n * m, dtype=bool)
-
-    def link(i: int, j: int, mass: float) -> None:
-        flow[i * m + j] = mass
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-        basic[i * m + j] = True
+    priced = C.copy()  # the costs, +inf on the basic cells
+    rc = np.empty_like(priced)  # reduced costs
 
     def cell(node: int) -> int:  # the arc from node to its parent
         up = parent[node]
@@ -158,6 +159,7 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
     parent = [-1] * (n + m)
     depth = [0] * (n + m)
     pot = [0.0] * (n + m)  # duals: u_i + v_j = C_ij on basic cells
+    up_flow = [0.0] * (n + m)  # mass on the arc from a node to its parent
 
     def hang(top: int) -> None:
         """Set parent, depth and potential below ``top``, given its own."""
@@ -172,22 +174,27 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
                     pot[b] = (costs[a][b - n] if a < n else costs[b][a - n]) - pot[a]
                     stack.append(b)
 
-    for i, j, mass in _northwest_corner(p, q):
-        link(i, j, mass)
+    start = _least_cost_start(p, q, C)
+    for i, j, _ in start:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+        priced[i, j] = np.inf
     hang(0)
+    for i, j, mass in start:
+        up_flow[n + j if parent[n + j] == i else i] = mass
 
     degenerate = 0
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS):
         duals = np.array(pot)
-        rc = (C - duals[:n, None] - duals[None, n:]).ravel()
-        rc[basic] = 0.0
+        np.subtract(priced, duals[:n, None], out=rc)
+        rc -= duals[n:]
         if degenerate < _DEGENERATE_SWITCH:
             enter = int(rc.argmin())
         else:  # Bland's rule
             enter = int(np.argmax(rc < -_RC_TOL))
-        if rc[enter] >= -_RC_TOL:
-            break
         ei, ej = divmod(enter, m)
+        if rc[ei, ej] >= -_RC_TOL:
+            break
         # the cycle closes at the common ancestor of row ei and column ej;
         # from either end, every other arc loses mass
         a, b = ei, n + ej
@@ -199,22 +206,29 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
             else:
                 side_b.append(b)
                 b = parent[b]
-        losing = [(cell(x), x) for x in side_a[0::2] + side_b[0::2]]
-        theta = min(flow[c] for c, _ in losing)
-        leave, below = min(t for t in losing if flow[t[0]] <= theta)
+        losing = side_a[0::2] + side_b[0::2]
+        theta = min(up_flow[x] for x in losing)
+        ties = [x for x in losing if up_flow[x] <= theta]
+        below = min(ties, key=cell) if len(ties) > 1 else ties[0]
         for x in side_a[1::2] + side_b[1::2]:
-            flow[cell(x)] += theta
-        for c, _ in losing:
-            flow[c] = max(flow[c] - theta, 0.0)
+            up_flow[x] += theta
+        for x in losing:
+            up_flow[x] -= theta
         degenerate = degenerate + 1 if theta == 0.0 else 0
-        del flow[leave]
-        basic[leave] = False
-        li, lj = divmod(leave, m)
-        adj[li].remove(n + lj)
-        adj[n + lj].remove(li)
-        link(ei, ej, theta)
-        # the subtree cut off by the leaving arc hangs from the entering one
+        leave = cell(below)
+        priced.flat[leave] = C.flat[leave]
+        priced[ei, ej] = np.inf
+        adj[below].remove(parent[below])
+        adj[parent[below]].remove(below)
+        adj[ei].append(n + ej)
+        adj[n + ej].append(ei)
+        # the subtree cut off by the leaving arc hangs from the entering one;
+        # the masses shift along the reversed path from its top to ``below``
         top, up = (ei, n + ej) if below in side_a else (n + ej, ei)
+        x, mass = top, theta
+        while x != below:
+            up_flow[x], mass, x = mass, up_flow[x], parent[x]
+        up_flow[below] = mass
         parent[top] = up
         depth[top] = depth[up] + 1
         pot[top] = costs[ei][ej] - pot[up]
@@ -225,11 +239,13 @@ def solve_transport_lp(p, q, cost) -> LpSolution:
             f"on a {n}x{m} problem before proving optimality"
         )
 
-    plan = np.bincount(list(flow), weights=list(flow.values()), minlength=n * m).reshape(n, m)
+    cells = [cell(x) for x in range(1, n + m)]  # every node but the root, row 0
+    plan = np.bincount(cells, weights=up_flow[1:], minlength=n * m).reshape(n, m)
     value = float((plan * C).sum())
     result = TransportPlan(plan, p, q)
     result.validate(atol=1e-10)
-    return LpSolution(value=value, plan=result, dual_row=duals[:n], dual_col=duals[n:])
+    return LpSolution(value=value, plan=result, dual_row=duals[:n], dual_col=duals[n:],
+                      pivots=pivots)
 
 
 def wasserstein_distance(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> float:

@@ -9,6 +9,7 @@ from conftest import height3_pair, random_tree_pair, split_timing_pair
 from nested_sinkhorn import (
     TransportPlan,
     cost_matrix,
+    generate_random_tree,
     sinkhorn_auto,
     solve_transport_lp,
     wasserstein_distance,
@@ -150,11 +151,27 @@ class TestSolveTransportLp:
             TransportPlan(np.diag(good), np.array([np.nan, 0.5]), good).validate()
 
     def test_pivot_limit_message(self, monkeypatch):
-        # the north-west corner start is the costly diagonal, so one pivot
-        # cannot prove optimality
+        # the least-cost start costs 5 and the optimum, 1.5, is one pivot
+        # away, so one pivot cannot prove optimality
         monkeypatch.setattr(transport, "_MAX_PIVOTS", 1)
         with pytest.raises(RuntimeError, match=r"pivot limit of 1 pivots on a 2x2 problem"):
-            solve_transport_lp([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+            solve_transport_lp([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [2.0, 10.0]])
+
+    def test_optimal_start_takes_no_pivots(self):
+        sol = solve_transport_lp([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        assert sol.value == 0.0
+        assert sol.pivots == 0
+
+    def test_flat_hi_pair_pivots(self):
+        # the benchmark's flat-hi pair, 144x24 leaves; 362 pivots from a
+        # north-west corner start
+        tree_a = generate_random_tree([1, 2, 3, 2, 3, 4], 86)
+        tree_b = generate_random_tree([1, 2, 2, 1, 3, 2], 87)
+        cost = cost_matrix(tree_a, tree_b, 1.0)
+        p, q = tree_a.leaf_probabilities, tree_b.leaf_probabilities
+        sol = solve_transport_lp(p, q, cost)
+        assert sol.pivots <= 200
+        assert_certificate(sol, p, q, cost)
 
 
 def degenerate_instances():
@@ -175,8 +192,8 @@ def degenerate_instances():
         cost[half:2 * half] = cost[:half]
         cost[:, half:2 * half] = cost[:, :half]
         out.append((p / p.sum(), q / q.sum(), cost))
-    # uniform marginals whose partial sums coincide: the north-west corner
-    # start is degenerate
+    # uniform marginals whose partial sums coincide: each column takes two
+    # whole rows, so the start's basis holds zero cells
     n = 30
     out.append((np.full(n, 1.0 / n), np.full(n // 2, 2.0 / n),
                 np.abs(np.subtract.outer(np.arange(n), 2.0 * np.arange(n // 2)))))
@@ -201,6 +218,42 @@ def highs_value(p, q, cost):
                            bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+def start_instances():
+    """The degenerate instances, a 1x1, a 1xk and a kx1 shape, and marginals
+    whose sums differ by 1e-13: the last open column is short of the row it
+    meets while another row, left with 5.6e-17, is still open."""
+    rng = np.random.default_rng(29)
+    return degenerate_instances() + [
+        (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)), rng.uniform(0.0, 3.0, size=(n, m)))
+        for n, m in ((1, 1), (1, 5), (5, 1))] + [
+        (np.array([0.1 + 0.2, 0.7 + 1e-13]), np.array([0.3, 0.7]), np.array([[0.0, 2.0], [1.0, 1.0]]))]
+
+
+class TestLeastCostStart:
+    @pytest.mark.parametrize("k", range(len(start_instances())))
+    def test_start_is_a_feasible_spanning_tree(self, k):
+        p, q, cost = start_instances()[k]
+        n, m = cost.shape
+        cells = transport._least_cost_start(p, q, cost)
+        assert len(cells) == n + m - 1
+        adj = [[] for _ in range(n + m)]
+        plan = np.zeros((n, m))
+        for i, j, mass in cells:
+            adj[i].append(n + j)
+            adj[n + j].append(i)
+            plan[i, j] += mass
+        seen, stack = {0}, [0]
+        while stack:
+            for b in adj[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        assert len(seen) == n + m
+        assert plan.min() >= 0.0
+        assert np.abs(plan.sum(axis=1) - p).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - q).max() <= 1e-12
 
 
 class TestAgainstHighs:
