@@ -7,8 +7,9 @@ conditional branch distributions.  The regularized variant solves each
 subproblem by a scaling iteration and propagates the full entropic
 objective.  A stage is solved in groups of same-shape subproblems into one
 :class:`StageTable` of dense arrays, which later stage walks read by the
-trees' index arrays: an exact group of a small shape by trying every basis
-of the shape at once, a regularized group by the batched scaling solver.
+trees' index arrays: an exact group by the north-west corner of each
+problem sorted by child state, kept where its duals certify it, a
+regularized group by the batched scaling solver.
 A flat linear program over leaf-pair variables with cross-multiplied
 conditional-marginal constraints is an independent oracle for both; the
 remaining functions verify flat feasibility of the composed plan,
@@ -18,7 +19,6 @@ comparison bounds, and the martingale property of the dual process.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -68,11 +68,8 @@ BOUND_MAX_ITER = 200_000  # sweep cap per subproblem
 
 FLAT_LP_MAX_CELLS = 40_000  # leaf pairs beyond which flat_nested_lp refuses an instance
 
-# the exact stage solve by basis enumeration
-_BASIS_MAX_TREES = 432          # bases of a shape beyond which its LPs go to the simplex
-_BASIS_MAX_ENTRIES = 1 << 14    # problems x bases x cells per chunk of a group
-_PRIMAL_TOL = 1e-14             # how far below zero a basic mass may fall
-_DUAL_TOL = 1e-12               # the same for a reduced cost, relative to 1 + max |cost|
+# how far below zero the exact stage solve lets a reduced cost fall, relative to 1 + max |cost|
+_DUAL_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -191,14 +188,15 @@ def _solve_stagewise(
     tree_a: ScenarioTree,
     tree_b: ScenarioTree,
     leaf_cost: np.ndarray,
-    solve_group: Callable[[np.ndarray, np.ndarray, np.ndarray], _BatchResult],
+    solve_group: Callable[..., _BatchResult],
 ) -> tuple[list[StageTable], list[StageStats]]:
     """Backward recursion over stages; returns the stage tables and the
     per-stage statistics, in stage order.  A stage's node pairs are grouped
     by child counts ``(m, n)``; ``solve_group`` gets each group in pair order
-    as stacked row marginals ``[B, m]``, column marginals ``[B, n]`` and
-    costs ``[B, m, n]`` gathered from the next stage's values (the leaf costs
-    at the last stage, whose nodes are the leaves)."""
+    as stacked row marginals ``[B, m]``, column marginals ``[B, n]``, costs
+    ``[B, m, n]`` gathered from the next stage's values (the leaf costs at
+    the last stage, whose nodes are the leaves), and the child states
+    ``[B, m]`` and ``[B, n]``, stacked like the marginals."""
     index_a, index_b = tree_a.stage_index, tree_b.stage_index
     next_value = leaf_cost
     tables: list[StageTable] = []
@@ -220,7 +218,9 @@ def _solve_stagewise(
                 child_pairs = (kids_a[:, None, :, None], kids_b[None, :, None, :])
                 batch = solve_group(np.repeat(index_a.cond_prob[t + 1][kids_a], J, axis=0),
                                     np.tile(index_b.cond_prob[t + 1][kids_b], (I, 1)),
-                                    next_value[child_pairs].reshape(I * J, m, n))
+                                    next_value[child_pairs].reshape(I * J, m, n),
+                                    np.repeat(index_a.state[t + 1][kids_a], J, axis=0),
+                                    np.tile(index_b.state[t + 1][kids_b], (I, 1)))
                 table.value[pairs] = batch.de_s.reshape(I, J)
                 table.entropy[pairs] = batch.entropy.reshape(I, J)
                 table.iterations[pairs] = batch.iterations.reshape(I, J)
@@ -266,89 +266,50 @@ def _compose(tree_a: ScenarioTree, tree_b: ScenarioTree, tables: list[StageTable
     return out
 
 
-@functools.cache
-def _bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spanning trees of the complete bipartite graph K(m, n), which are
-    the bases of the m x n transportation LP: their basic cells ``[T, m+n-1]``
-    (cell ``i * n + j``, in lexicographic order) and the inverses ``[T, m+n-1,
-    m+n-1]`` of their basis matrices.  The constraints are the row sums of
-    rows 1..m-1, then the column sums; row 0's is dropped, which pins its
-    dual to zero.  A cell subset is a tree exactly when its basis matrix is
-    nonsingular, and the matrix is totally unimodular, so the determinant
-    is 0 or +-1 and the inverse is integral: it is rounded to be exact."""
-    k = m + n - 1
-    cells = np.arange(m * n)
-    rows, cols = np.divmod(cells, n)
-    A = np.zeros((k, m * n))
-    A[rows[rows > 0] - 1, cells[rows > 0]] = 1.0
-    A[m - 1 + cols, cells] = 1.0
-    subsets = np.array(list(itertools.combinations(range(m * n), k))).reshape(-1, k)
-    basis = A[:, subsets].transpose(1, 0, 2)
-    trees = np.abs(np.linalg.det(basis)) > 0.5
-    tables = subsets[trees], np.rint(np.linalg.inv(basis[trees]))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _basis_chunk(P: np.ndarray, Q: np.ndarray, C: np.ndarray, cells: np.ndarray,
-                 inverse: np.ndarray):
-    """Optimal basic solutions of a stack ``[B, m, n]`` by trying every basis
-    of :func:`_bases` at once.  The first basis whose masses are feasible
-    (down to ``-_PRIMAL_TOL``) and whose duals price every cell feasibly
-    (down to ``-_DUAL_TOL * (1 + max |cost|)``) is optimal, its duals the
-    certificate; only the primal-feasible bases are priced.  Returns the
-    plans with those masses clipped at zero, the duals, and the mask of
-    problems that no basis passed."""
-    B, m, n = C.shape
-    T, k = cells.shape
-    flat = C.reshape(B, m * n)
-    # einsum, not BLAS, so a problem's sums do not depend on the stack around it
-    mass = np.einsum("tij,bj->bti", inverse, np.concatenate([P[:, 1:], Q], axis=1))
-    # the primal-feasible (problem, basis) pairs, bases in order within a problem
-    b, t = np.nonzero((mass >= -_PRIMAL_TOL).all(axis=2))
-    duals = np.einsum("ni,nil->nl", flat[b[:, None], cells[t]], inverse[t])
-    row = np.concatenate([np.zeros((len(b), 1)), duals[:, :m - 1]], axis=1)
-    reduced = C[b] - row[:, :, None] - duals[:, None, m - 1:]
-    slack = -_DUAL_TOL * (1.0 + np.abs(flat).max(axis=1))
-    passed = (reduced >= slack[b, None, None]).all(axis=(1, 2))
-    solved, first = np.unique(b[passed], return_index=True)
-    pick = np.flatnonzero(passed)[first]
-    plan = np.zeros((B, m * n))
-    plan[solved[:, None], cells[t[pick]]] = np.maximum(mass[solved, t[pick]], 0.0)
-    dual_row, dual_col = np.zeros((B, m)), np.zeros((B, n))
-    dual_row[solved], dual_col[solved] = row[pick], duals[pick, m - 1:]
-    failed = np.ones(B, dtype=bool)
-    failed[solved] = False
-    return plan.reshape(B, m, n), dual_row, dual_col, failed
-
-
-def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray) -> _BatchResult:
+def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray, X: np.ndarray,
+              Y: np.ndarray) -> _BatchResult:
     """The transportation LPs of a group, stacked in the layout of
-    :func:`_sinkhorn_batch`; no sweeps, and the value is the LP optimum.
-    The duals are pinned as the simplex pins them, row 0 at zero.  A group
-    with a single row or column needs no search: its one feasible plan is
-    ``outer(p, q)``, and its duals are read off column 0 and row 0 of the
-    cost.  Any other shape with at most :data:`_BASIS_MAX_TREES` bases is
-    solved by :func:`_basis_chunk`, in chunks of at most
-    :data:`_BASIS_MAX_ENTRIES` reduced costs; larger shapes, and any problem
-    no basis passed, go to :func:`solve_transport_lp` one by one."""
+    :func:`_sinkhorn_batch` with the child states ``X`` ``[B, m]`` and ``Y``
+    ``[B, n]``; no sweeps, and the value is the LP optimum.  Each problem,
+    sorted by child state on both sides, takes its north-west corner: the
+    staircase whose steps are cut at the merged inner breakpoints of the two
+    cumulative marginals, a row breakpoint before a column one on a tie.
+    The staircase duals give its cells zero reduced cost, with row 0 pinned
+    at zero as the simplex pins it.  Where the sorted costs are Monge, as
+    the leaf costs (c + |x - y|)^r of scalar states are, the corner is
+    optimal (Burkard, Klinz & Rudolf, Discrete Appl. Math. 70, 1996), and
+    the duals certify it: every reduced cost is at least ``-_DUAL_TOL * (1 +
+    max |cost|)``.  A problem they do not certify goes to
+    :func:`solve_transport_lp`."""
     B, m, n = C.shape
-    if m == 1 or n == 1:
-        plan = P[:, :, None] * Q[:, None, :]
-        dual_row, dual_col = C[:, :, 0] - C[:, :1, 0], C[:, 0, :]
-        failed = np.zeros(B, dtype=bool)
-    else:
-        plan, dual_row, dual_col = np.empty(C.shape), np.empty(P.shape), np.empty(Q.shape)
-        failed = np.ones(B, dtype=bool)
-        if m ** (n - 1) * n ** (m - 1) <= _BASIS_MAX_TREES:
-            cells, inverse = _bases(m, n)
-            step = max(1, _BASIS_MAX_ENTRIES // (len(cells) * m * n))
-            for start in range(0, B, step):
-                chunk = slice(start, start + step)
-                plan[chunk], dual_row[chunk], dual_col[chunk], failed[chunk] = _basis_chunk(
-                    P[chunk], Q[chunk], C[chunk], cells, inverse)
-    for b in np.flatnonzero(failed):
+    stack = np.arange(B)[:, None]
+    rows, cols = np.argsort(X, axis=1, kind="stable"), np.argsort(Y, axis=1, kind="stable")
+    p_cum = np.cumsum(np.take_along_axis(P, rows, axis=1), axis=1)
+    q_cum = np.cumsum(np.take_along_axis(Q, cols, axis=1), axis=1)
+    inner = np.concatenate([p_cum[:, :-1], q_cum[:, :-1]], axis=1)
+    order = np.argsort(inner, axis=1, kind="stable")
+    down = order < m - 1  # step s + 1 of the staircase moves down a row
+    sorted_row = np.concatenate([np.zeros((B, 1), dtype=int), np.cumsum(down, axis=1)], axis=1)
+    row, col = rows[stack, sorted_row], cols[stack, np.arange(m + n - 1) - sorted_row]
+    bounds = np.concatenate([np.zeros((B, 1)), np.take_along_axis(inner, order, axis=1),
+                             p_cum[:, -1:]], axis=1)
+    plan = np.zeros(C.shape)
+    plan[stack, row, col] = np.maximum(np.diff(bounds, axis=1), 0.0)
+    cost = C[stack, row, col]
+    # row potentials change on down steps only, so a row's steps agree exactly;
+    # each column takes its potential at its first step
+    u = np.concatenate([np.zeros((B, 1)), np.cumsum(np.where(down, np.diff(cost, axis=1), 0.0),
+                                                    axis=1)], axis=1)
+    dual_row, dual_col = np.empty(P.shape), np.empty(Q.shape)
+    dual_row[stack, row] = u
+    problem, step = np.nonzero(np.concatenate([np.ones((B, 1), dtype=bool), ~down], axis=1))
+    dual_col[problem, col[problem, step]] = (cost - u)[problem, step]
+    pin = dual_row[:, :1].copy()
+    dual_row -= pin
+    dual_col += pin
+    slack = -_DUAL_TOL * (1.0 + np.abs(C).max(axis=(1, 2)))
+    reduced = C - dual_row[:, :, None] - dual_col[:, None, :]
+    for b in np.flatnonzero((reduced < slack[:, None, None]).any(axis=(1, 2))):
         lp = solve_transport_lp(P[b], Q[b], C[b])
         plan[b], dual_row[b], dual_col[b] = lp.plan.matrix, lp.dual_row, lp.dual_col
     value = (plan * C).sum(axis=(1, 2))
@@ -391,7 +352,7 @@ def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
     _check_height(tree_a)
     # the solver reads tol / T once the driver has checked that T >= 1
     solve_group = _lp_group if lam is None else (
-        lambda P, Q, C: _sinkhorn_group(P, Q, C, lam, tol / tree_a.height, max_iter))
+        lambda P, Q, C, X, Y: _sinkhorn_group(P, Q, C, lam, tol / tree_a.height, max_iter))
     tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
     composed = _compose(tree_a, tree_b, tables)
     root_pow = float(tables[0].value[0, 0])
@@ -425,11 +386,12 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
     Every conditional subproblem is a transportation LP over the child pairs
     with the stage-(t+1) values as costs; the root value's r-th root is the
     distance.  A stage's LPs of one shape are solved together by
-    :func:`_lp_group`: a shape with one row or column in closed form, other
-    shapes with at most :data:`_BASIS_MAX_TREES` bases (up to 4x3, 3x4, 2x6
-    and 6x2) by basis enumeration, larger ones by one simplex per pair.  A degenerate
-    LP may end at any optimal vertex.  The composed leaf-pair plan is
-    optimal for the flat formulation with conditional-marginal constraints.
+    :func:`_lp_group`: each takes the north-west corner of its problem
+    sorted by child state, which is optimal wherever the sorted costs are
+    Monge, as at the last stage, and one simplex where the corner's duals
+    do not certify it.  A degenerate LP may end at any optimal vertex.  The
+    composed leaf-pair plan is optimal for the flat formulation with
+    conditional-marginal constraints.
     """
     return _recursion(tree_a, tree_b, r)
 

@@ -297,14 +297,16 @@ def generate_random_tree(branching: Sequence[int], seed: int) -> ScenarioTree:
     """Generate a random tree with the given per-stage branching factors.
 
     ``branching[0]`` must be 1 (the root level); ``branching[t]`` is the
-    number of children of every stage ``t-1`` node.  States perform a
+    number of children of every stage ``t-1`` node.  Every factor must be a
+    positive integer, and a bool is not one.  States perform a
     standard-normal random walk from the root state 0; each sibling group's
     probabilities are normalized exponentials of uniform draws.  The result
     is a deterministic function of ``seed``.
     """
     if len(branching) == 0:
         raise ValueError("branching list must not be empty")
-    if any((not isinstance(b, (int, np.integer))) or b < 1 for b in branching):
+    if any(isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1
+           for b in branching):
         raise ValueError(f"branching factors must be positive integers, got {list(branching)!r}")
     if branching[0] != 1:
         raise ValueError(f"branching[0] must be 1 (single root), got {branching[0]}")

@@ -37,7 +37,7 @@ from nested_sinkhorn import (
     wasserstein_distance,
 )
 from nested_sinkhorn import nested as nested_module
-from nested_sinkhorn.nested import _BASIS_MAX_TREES, FLAT_LP_MAX_CELLS, _bases, _lp_group
+from nested_sinkhorn.nested import FLAT_LP_MAX_CELLS, _lp_group
 
 # the package exports the function ``nested_sinkhorn``, which hides the package itself
 package = importlib.import_module("nested_sinkhorn")
@@ -140,13 +140,14 @@ class TestNestedExact:
 
     @pytest.mark.parametrize("shape", [(1, 5), (4, 1), (1, 1)])
     def test_single_child_groups_match_the_simplex(self, shape):
-        # a group with one row or one column is solved in closed form
+        # a group with one row or one column has one feasible plan, which the
+        # corner takes whatever the costs and the states' order
         rng = np.random.default_rng(sum(shape))
         B, (m, n) = 6, shape
         P = rng.dirichlet(np.ones(m), size=B)
         Q = rng.dirichlet(np.ones(n), size=B)
         C = rng.normal(0.0, 3.0, size=(B, m, n))
-        batch = _lp_group(P, Q, C)
+        batch = _lp_group(P, Q, C, rng.normal(size=(B, m)), rng.normal(size=(B, n)))
         for k in range(B):
             lp = solve_transport_lp(P[k], Q[k], C[k])
             assert batch.plan[k] == pytest.approx(lp.plan.matrix, rel=0, abs=1e-15)
@@ -170,14 +171,41 @@ class TestNestedExact:
             assert not res.leaf_cost.flags.writeable
 
 
-# every transportation shape up to 6x6 whose LPs are solved by basis enumeration
-CAPPED_SHAPES = [(m, n) for m in range(2, 7) for n in range(2, 7)
-                 if m ** (n - 1) * n ** (m - 1) <= _BASIS_MAX_TREES]
+# every transportation shape from 1x1 to 12x12
+SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13)]
+# leaf costs (c + |x - y|)^r, which the corner always solves, and general costs
+LEAF_KINDS = ["r1", "r2", "tied", "tiny-leaf"]
+LP_KINDS = ["random", "uniform", "duplicated", "tiny"]
+# the shapes the stage solve once enumerated every spanning-tree basis of;
+# ``TestBasisEnumeration`` keeps their general-cost cases under their own names
+BASIS_SHAPES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2),
+                (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (6, 2)]
+
+
+def leaf_stack(shape, kind, B=4):
+    """``B`` seeded leaf-stage problems of one shape: costs (c + |x - y|)^r
+    with c shared by the problem, at r = 2 for ``r2`` and 1 otherwise;
+    ``tied`` draws the states from three values, and ``tiny-leaf`` puts a
+    mass of 1e-9 on either side."""
+    m, n = shape
+    rng = np.random.default_rng([m, n, len(kind)])
+    P = rng.dirichlet(np.ones(m), size=B)
+    Q = rng.dirichlet(np.ones(n), size=B)
+    X, Y = rng.normal(size=(B, m)), rng.normal(size=(B, n))
+    if kind == "tied":
+        X, Y = rng.integers(0, 3, size=(B, m)) * 0.5, rng.integers(0, 3, size=(B, n)) * 0.5
+    elif kind == "tiny-leaf":
+        P[:, 0], Q[:, -1] = 1e-9, 1e-9
+        P /= P.sum(axis=1, keepdims=True)
+        Q /= Q.sum(axis=1, keepdims=True)
+    c = rng.uniform(0.0, 3.0, size=(B, 1, 1))
+    C = (c + np.abs(X[:, :, None] - Y[:, None, :])) ** (2.0 if kind == "r2" else 1.0)
+    return P, Q, C, X, Y
 
 
 def lp_stack(shape, kind, B=20):
-    """``B`` seeded transportation problems of one shape: random, or one of
-    the degenerate kinds the basis search must pass through."""
+    """``B`` seeded transportation problems of one shape with random child
+    states: random costs, or one of the degenerate kinds."""
     m, n = shape
     rng = np.random.default_rng([m, n, len(kind)])
     P = rng.dirichlet(np.ones(m), size=B)
@@ -186,7 +214,7 @@ def lp_stack(shape, kind, B=20):
     if kind == "uniform":  # ties everywhere: many optimal vertices and duals
         P, Q = np.full((B, m), 1.0 / m), np.full((B, n), 1.0 / n)
         C = rng.integers(0, 3, size=(B, m, n)).astype(float)
-    elif kind == "duplicated":  # two equal rows
+    elif kind == "duplicated" and m > 1:  # two equal rows
         C[:, -1] = C[:, 0]
         P[:, -1] = P[:, 0]
         P /= P.sum(axis=1, keepdims=True)
@@ -194,7 +222,7 @@ def lp_stack(shape, kind, B=20):
         P[:, 0], Q[:, -1] = 1e-9, 1e-9
         P /= P.sum(axis=1, keepdims=True)
         Q /= Q.sum(axis=1, keepdims=True)
-    return P, Q, C
+    return P, Q, C, rng.normal(size=(B, m)), rng.normal(size=(B, n))
 
 
 def count_calls(monkeypatch, name) -> list:
@@ -204,42 +232,68 @@ def count_calls(monkeypatch, name) -> list:
     return calls
 
 
-class TestBasisEnumeration:
-    """The exact stage solve tries every basis of a small shape at once."""
+def stage_simplex_calls(monkeypatch, tree_a, tree_b, r) -> list[int]:
+    """The simplex calls of each stage of ``nested_exact``, in stage order."""
+    simplex, per_group = count_calls(monkeypatch, "solve_transport_lp"), []
+    lp_group = nested_module._lp_group
 
-    def test_one_basis_per_spanning_tree(self):
-        assert len(CAPPED_SHAPES) == 12
-        for m, n in CAPPED_SHAPES:
-            cells, inverse = _bases(m, n)
-            # the spanning-tree count of K(m, n)
-            assert len(cells) == m ** (n - 1) * n ** (m - 1)
-            assert cells.shape[1] == inverse.shape[1] == inverse.shape[2] == m + n - 1
+    def counted(*args):
+        before = len(simplex)
+        batch = lp_group(*args)
+        per_group.append(len(simplex) - before)
+        return batch
 
-    @pytest.mark.parametrize("kind", ["random", "uniform", "duplicated", "tiny"])
-    @pytest.mark.parametrize("shape", CAPPED_SHAPES)
-    def test_matches_the_simplex(self, shape, kind, monkeypatch):
+    monkeypatch.setattr(nested_module, "_lp_group", counted)
+    nested_exact(tree_a, tree_b, r)
+    calls = []
+    for t in range(tree_a.height - 1, -1, -1):  # the recursion runs backwards
+        groups = len(tree_a.stage_index.children[t]) * len(tree_b.stage_index.children[t])
+        calls.insert(0, sum(per_group[:groups]))
+        del per_group[:groups]
+    return calls
+
+
+def assert_certified(batch, P, Q, C):
+    """The plans meet their marginals and the duals, row 0 pinned at zero,
+    certify them."""
+    eps = 1e-12 * (1.0 + np.abs(C).max(axis=(1, 2)))
+    assert batch.plan.min() >= 0.0
+    assert (batch.marginal_error <= 1e-12).all()
+    assert not batch.dual_row[:, 0].any()
+    reduced = C - batch.dual_row[:, :, None] - batch.dual_col[:, None, :]
+    assert (reduced.min(axis=(1, 2)) >= -eps).all()  # dual feasibility
+    assert (np.where(batch.plan > 0.0, np.abs(reduced), 0.0).max(axis=(1, 2)) <= eps).all()
+    dual_value = (P * batch.dual_row).sum(axis=1) + (Q * batch.dual_col).sum(axis=1)
+    assert (np.abs(dual_value - batch.de_s) <= eps).all()  # zero duality gap
+
+
+def assert_matches_the_simplex(P, Q, C, X, Y):
+    """The stage solve reaches the simplex's values and certifies its plans."""
+    batch = _lp_group(P, Q, C, X, Y)
+    for k in range(len(C)):
+        lp = solve_transport_lp(P[k], Q[k], C[k])
+        assert batch.de_s[k] == pytest.approx(lp.value, rel=1e-12, abs=1e-15)
+    assert_certified(batch, P, Q, C)
+
+
+class TestMonotoneGroups:
+    """The exact stage solve takes each problem's north-west corner in state
+    order, and the simplex where its duals do not certify it."""
+
+    @pytest.mark.parametrize("kind", LEAF_KINDS + LP_KINDS)
+    def test_matches_the_simplex(self, kind, monkeypatch):
         simplex = count_calls(monkeypatch, "solve_transport_lp")
-        P, Q, C = lp_stack(shape, kind)
-        batch = _lp_group(P, Q, C)
-        assert not simplex
-        for k in range(len(C)):
-            assert batch.de_s[k] == pytest.approx(solve_transport_lp(P[k], Q[k], C[k]).value,
-                                                  rel=1e-12, abs=1e-15)
-        # the plans meet their marginals and the duals certify them
-        eps = 1e-12 * (1.0 + np.abs(C).max(axis=(1, 2)))
-        assert batch.plan.min() >= 0.0
-        assert (batch.marginal_error <= 1e-12).all()
-        reduced = C - batch.dual_row[:, :, None] - batch.dual_col[:, None, :]
-        assert (reduced.min(axis=(1, 2)) >= -eps).all()  # dual feasibility
-        assert (np.where(batch.plan > 0.0, np.abs(reduced), 0.0).max(axis=(1, 2)) <= eps).all()
-        dual_value = (P * batch.dual_row).sum(axis=1) + (Q * batch.dual_col).sum(axis=1)
-        assert (np.abs(dual_value - batch.de_s) <= eps).all()  # zero duality gap
+        for shape in SHAPES:
+            if kind in LEAF_KINDS:
+                assert_matches_the_simplex(*leaf_stack(shape, kind))
+                assert not simplex, shape  # leaf costs are Monge in state order
+            elif shape not in BASIS_SHAPES:
+                assert_matches_the_simplex(*lp_stack(shape, kind))
 
-    def test_problems_no_basis_passes_go_to_the_simplex(self, monkeypatch):
-        monkeypatch.setattr(nested_module, "_PRIMAL_TOL", -math.inf)
+    def test_non_monge_costs_go_to_the_simplex(self, monkeypatch):
         simplex = count_calls(monkeypatch, "solve_transport_lp")
-        P, Q, C = lp_stack((3, 3), "uniform")
-        batch = _lp_group(P, Q, C)
+        P, Q, C, X, Y = lp_stack((4, 5), "random")
+        batch = _lp_group(P, Q, C, X, Y)
         assert len(simplex) == len(C)
         for k in range(len(C)):
             lp = solve_transport_lp(P[k], Q[k], C[k])
@@ -247,32 +301,82 @@ class TestBasisEnumeration:
             assert np.array_equal(batch.dual_row[k], lp.dual_row)
             assert np.array_equal(batch.dual_col[k], lp.dual_col)
             assert batch.de_s[k] == pytest.approx(lp.value, rel=1e-15, abs=1e-15)
+        assert_certified(batch, P, Q, C)
 
-    def test_chunks_match_single_solves(self):
-        # 81 bases of 9 cells: 22 problems per chunk, so 50 problems take three
-        P, Q, C = lp_stack((3, 3), "random", B=50)
-        batch = _lp_group(P, Q, C)
-        for k in range(len(C)):
-            alone = _lp_group(P[k:k + 1], Q[k:k + 1], C[k:k + 1])
-            for name in ("plan", "de_s", "dual_row", "dual_col"):
-                assert np.array_equal(getattr(batch, name)[k], getattr(alone, name)[0])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_reversed_child_order_permutes_the_solution(self, r):
+        P, Q, C, X, Y = leaf_stack((5, 6), "r2" if r == 2.0 else "r1", B=10)
+        batch = _lp_group(P, Q, C, X, Y)
+        # columns: the pinned row 0 stays, so plan and duals permute exactly
+        cols = _lp_group(P, Q[:, ::-1], C[:, :, ::-1], X, Y[:, ::-1])
+        assert np.array_equal(cols.plan, batch.plan[:, :, ::-1])
+        assert np.array_equal(cols.dual_row, batch.dual_row)
+        assert np.array_equal(cols.dual_col, batch.dual_col[:, ::-1])
+        assert cols.de_s == pytest.approx(batch.de_s, rel=1e-15, abs=0)  # summed in another order
+        # rows: the plan permutes exactly; the duals move by the shift that
+        # pins the new row 0, up to its rounding
+        rows = _lp_group(P[:, ::-1], Q, C[:, ::-1], X[:, ::-1], Y)
+        assert np.array_equal(rows.plan, batch.plan[:, ::-1])
+        shift = batch.dual_row[:, -1:]
+        assert rows.dual_row[:, ::-1] == pytest.approx(batch.dual_row - shift, rel=0, abs=1e-13)
+        assert rows.dual_col == pytest.approx(batch.dual_col + shift, rel=0, abs=1e-13)
 
-    def test_no_simplex_on_the_uneven_pair(self, monkeypatch):
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_leaf_stage_is_never_refused(self, r, monkeypatch):
         simplex = count_calls(monkeypatch, "solve_transport_lp")
-        res = nested_exact(generate_random_tree((1, 4, 1, 3, 2, 1, 3), 0),
-                           generate_random_tree((1, 2, 3, 1, 2, 3, 2), 1))
-        assert res.value > 0.0 and not simplex
+        for m, n in itertools.product(range(1, 41), repeat=2):
+            tree_a, tree_b = generate_random_tree((1, m), m), generate_random_tree((1, n), 100 + n)
+            assert nested_exact(tree_a, tree_b, r).value > 0.0 and not simplex, (m, n)
 
-    def test_wide_single_child_groups_enumerate_nothing(self, monkeypatch):
-        # one root child against 2000: a 1 x 2000 group has one basis, whose
-        # n x n inverse the closed form never builds
-        bases = count_calls(monkeypatch, "_bases")
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_wide_single_child_group_is_never_refused(self, r, monkeypatch):
+        # one root child against 2000: the corner is the product plan
         simplex = count_calls(monkeypatch, "solve_transport_lp")
         tree_a, tree_b = generate_random_tree((1, 1), 1), generate_random_tree((1, 2000), 2)
-        res = nested_exact(tree_a, tree_b)
-        assert not bases and not simplex
-        expected = (cost_matrix(tree_a, tree_b, 1.0) * tree_b.leaf_probabilities).sum()
-        assert res.value == pytest.approx(expected, rel=1e-12)
+        res = nested_exact(tree_a, tree_b, r)
+        assert not simplex
+        expected = (cost_matrix(tree_a, tree_b, r) * tree_b.leaf_probabilities).sum()
+        assert res.value_pow == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    @pytest.mark.parametrize("branching", [((1, 4, 1, 3, 2, 1, 3), (1, 2, 3, 1, 2, 3, 2)),
+                                           ((1, 6, 6, 6), (1, 6, 6, 6))])
+    def test_last_stage_is_never_refused(self, branching, r, monkeypatch):
+        tree_a = generate_random_tree(branching[0], 0)
+        tree_b = generate_random_tree(branching[1], 1)
+        calls = stage_simplex_calls(monkeypatch, tree_a, tree_b, r)
+        assert len(calls) == tree_a.height and calls[-1] == 0
+        # the interior problems that are not Monge still reach the simplex
+        assert sum(calls) > 0
+
+
+class TestBasisEnumeration:
+    """Cases kept from the spanning-tree basis enumeration the corner
+    replaced: its shapes under general costs, and its stacks cut in chunks."""
+
+    @pytest.mark.parametrize("kind", LP_KINDS)
+    @pytest.mark.parametrize("shape", BASIS_SHAPES)
+    def test_matches_the_simplex(self, shape, kind):
+        assert_matches_the_simplex(*lp_stack(shape, kind))
+
+    def test_chunks_match_single_solves(self, monkeypatch):
+        # corners and simplex solves mixed in one stack
+        simplex = count_calls(monkeypatch, "solve_transport_lp")
+        stacks = [leaf_stack((3, 4), "r1", B=25), lp_stack((3, 4), "random", B=25)]
+        P, Q, C, X, Y = (np.concatenate(arrays) for arrays in zip(*stacks))
+        batch = _lp_group(P, Q, C, X, Y)
+        assert 0 < len(simplex) < len(C)
+        order = np.random.default_rng(0).permutation(len(C))
+        shuffled = _lp_group(P[order], Q[order], C[order], X[order], Y[order])
+        halves = [_lp_group(P[part], Q[part], C[part], X[part], Y[part])
+                  for part in (slice(0, 17), slice(17, None))]
+        for name in ("plan", "de_s", "entropy", "dual_row", "dual_col"):
+            whole = getattr(batch, name)
+            assert np.array_equal(getattr(shuffled, name), whole[order])
+            assert np.array_equal(np.concatenate([getattr(half, name) for half in halves]), whole)
+            for k in range(len(C)):
+                alone = _lp_group(P[k:k + 1], Q[k:k + 1], C[k:k + 1], X[k:k + 1], Y[k:k + 1])
+                assert np.array_equal(getattr(alone, name)[0], whole[k])
 
 
 class TestFlatNestedLp:

@@ -350,3 +350,9 @@ class TestGenerateRandomTree:
     def test_root_level_must_be_one(self):
         with pytest.raises(ValueError, match=r"branching\[0\]"):
             generate_random_tree([2, 2], 0)
+
+    @pytest.mark.parametrize("branching", [[1, 0], [1, 2.5], [1, True], [True, 2],
+                                           [1, True, 2], [1, np.True_], [np.True_, 2]])
+    def test_branching_factors_must_be_positive_integers(self, branching):
+        with pytest.raises(ValueError, match="positive integers"):
+            generate_random_tree(branching, 0)
