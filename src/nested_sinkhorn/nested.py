@@ -30,7 +30,7 @@ import numpy as np
 from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
 from .sinkhorn import (CheckResult, _BatchResult, _check_settings, _finalize, _marginal_errors,
-                       _sinkhorn_batch, _stacked_entropy, bounded_check, entropy)
+                       _residual_check, _sinkhorn_batch, _stacked_entropy, bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
 __all__ = [
@@ -496,22 +496,14 @@ def conditional_marginal_residuals(tree_a: ScenarioTree, tree_b: ScenarioTree,
 
 @dataclass
 class EquivalenceReport:
-    """Verification that the recursion solved the flat entropic problem.
+    """Verification that the recursion solved the flat entropic problem:
+    ``checks`` holds the composed plan's flat conditional-marginal residual,
+    its flat entropic objective ``flat_objective`` against the recursion's
+    root value, and its log gap to the stagewise Gibbs decomposition rebuilt
+    from the stored dual multipliers, each with its tolerance as ``upper``."""
 
-    Checks feasibility of the composed plan for the flat conditional
-    constraints, equality of the flat entropic objective with the
-    recursion's root value, and the stagewise Gibbs decomposition of the
-    composed coupling reconstructed from the stored dual multipliers.
-    """
-
-    max_marginal_residual: float
+    checks: list[CheckResult]
     flat_objective: float
-    recursive_objective: float
-    objective_gap: float
-    max_gibbs_residual: float
-    feasibility_ok: bool
-    objective_ok: bool
-    gibbs_ok: bool
     passed: bool
 
 
@@ -557,21 +549,12 @@ def verify_entropic_equivalence(result: NestedResult) -> EquivalenceReport:
             vanished_ok = vanished_ok and not np.exp(exponent[~positive]).any()
     max_gibbs = float(np.abs(recon - log_composed).max()) if vanished_ok else math.inf
 
-    # plain bools and floats, so the report serializes as JSON
-    feas_ok = bool(max_residual <= MARGINAL_TOL)
-    obj_ok = bool(objective_gap <= OBJECTIVE_TOL)
-    gibbs_ok = bool(max_gibbs <= GIBBS_TOL)
-    return EquivalenceReport(
-        max_marginal_residual=max_residual,
-        flat_objective=flat_objective,
-        recursive_objective=result.value_with_entropy_pow,
-        objective_gap=objective_gap,
-        max_gibbs_residual=max_gibbs,
-        feasibility_ok=feas_ok,
-        objective_ok=obj_ok,
-        gibbs_ok=gibbs_ok,
-        passed=feas_ok and obj_ok and gibbs_ok,
-    )
+    checks = [
+        _residual_check("conditional marginal feasibility", max_residual, MARGINAL_TOL),
+        _residual_check("flat objective equality", objective_gap, OBJECTIVE_TOL),
+        _residual_check("stagewise Gibbs decomposition", max_gibbs, GIBBS_TOL),
+    ]
+    return EquivalenceReport(checks, flat_objective, all(c.passed for c in checks))
 
 
 @dataclass
@@ -626,13 +609,12 @@ def nested_bound_report(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1
 @dataclass
 class MartingaleReport:
     """Martingale diagnostic for the dual process built from the stored
-    conditional multipliers."""
+    conditional multipliers, started at ``m0``: ``checks`` holds the
+    martingale and projection residuals, each with its tolerance as
+    ``upper``."""
 
+    checks: list[CheckResult]
     m0: float
-    max_martingale_residual: float
-    max_projection_residual: float
-    martingale_ok: bool
-    projection_ok: bool
     passed: bool
 
 
@@ -673,16 +655,9 @@ def martingale_check(result: NestedResult) -> MartingaleReport:
         mass = _group_sum(_group_sum(table.plan, parent_a, 0), parent_b, 1)
         max_resid = max(max_resid, float(np.abs(weighted / mass - here).max()))
         here = increments
-    martingale_ok = bool(max_resid <= MARTINGALE_TOL)
-    projection_ok = bool(max_proj <= PROJECTION_TOL)
-    return MartingaleReport(
-        m0=m0,
-        max_martingale_residual=max_resid,
-        max_projection_residual=max_proj,
-        martingale_ok=martingale_ok,
-        projection_ok=projection_ok,
-        passed=martingale_ok and projection_ok,
-    )
+    checks = [_residual_check("martingale residual", max_resid, MARTINGALE_TOL),
+              _residual_check("projection residual", max_proj, PROJECTION_TOL)]
+    return MartingaleReport(checks, m0, all(c.passed for c in checks))
 
 
 @dataclass

@@ -279,15 +279,22 @@ def cost_matrix(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> n
 
     Rows follow ``tree_a``'s leaf order, columns ``tree_b``'s.  Trees of
     different heights are rejected here and nowhere else, and so are orders
-    below one or not finite, and costs that overflow the float range.
+    below one or not finite, and costs that overflow the float range.  The
+    distances are summed one stage at a time, so the work arrays are two of
+    the result's size.
     """
     if tree_a.height != tree_b.height:
         raise ValueError(f"trees have different heights: {tree_a.height} vs {tree_b.height}")
     if not 1.0 <= r < math.inf:  # written so that NaN fails it
         raise ValueError(f"order r must be >= 1 and finite, got {r}")
     sa, sb = tree_a.leaf_states, tree_b.leaf_states
+    cost = np.zeros((len(sa), len(sb)))
+    gap = np.empty_like(cost)
     with np.errstate(over="ignore"):
-        cost = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2) ** r
+        for t in range(tree_a.height + 1):
+            np.subtract(sa[:, t, None], sb[None, :, t], out=gap)
+            cost += np.abs(gap, out=gap)
+        cost **= r
     if not np.all(np.isfinite(cost)):
         raise ValueError(f"trajectory costs overflow the float range at order r={r}")
     return cost

@@ -102,6 +102,11 @@ def bounded_check(name: str, value: float, upper: float, lower: float = -math.in
     return CheckResult(name, value, lower, upper, slack, slack >= -BOUND_SLACK)
 
 
+def _residual_check(name: str, value: float, tol: float) -> CheckResult:
+    """A residual ``value`` checked against ``tol`` itself, with no slack granted."""
+    return CheckResult(name, value, -math.inf, tol, tol - value, bool(value <= tol))
+
+
 @dataclass
 class BoundReport:
     """The comparison checks of a regularized solution against the exact
@@ -374,10 +379,13 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
 
     The larger side's potentials are eliminated by their exact log-sum-exp
     update, and Newton solves for the smaller side's, one batched solve per
-    step.  The Hessian is the graph Laplacian of the weights
-    ``w_ik = sum_j X_ij X_kj / q_j``, its diagonal summed from those
-    weights (the form ``diag(r) - X diag(1/q) X^T`` cancels weak couplings
-    to zero).  The first potential is pinned, which removes the free shift;
+    step.  A gradient entry of at most :data:`_PLATEAU` times its marginal
+    is round-off and set to zero: on a nearly uncoupled potential it would
+    give a huge step, and capping that at the trust radius would shrink the
+    useful steps of the others to nothing.  The Hessian is the graph
+    Laplacian of the weights ``w_ik = sum_j X_ij X_kj / q_j``, its diagonal
+    summed from those weights (the form ``diag(r) - X diag(1/q) X^T``
+    cancels weak couplings to zero).  The first potential is pinned, which removes the free shift;
     the rest of the Laplacian is scaled to a unit diagonal by its degrees
     (a degree of 0 as the smallest normal number, so an uncoupled potential
     steps as far as allowed) and gets :data:`_RIDGE` on it, so no system is
@@ -409,6 +417,7 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while active.size:
             grad = P - X.sum(axis=2)
+            grad[np.abs(grad) <= _PLATEAU * P] = 0.0
             weights = X @ (X / Q[:, None, :]).transpose(0, 2, 1)
             weights[:, diagonal, diagonal] = 0.0
             degree = weights.sum(axis=2)

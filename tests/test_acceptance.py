@@ -171,9 +171,9 @@ def test_criterion_07_recursion_flat_equivalence():
                                       max_iter=200_000)
                 assert res.converged
                 report = verify_entropic_equivalence(res)
-                assert report.max_marginal_residual <= 1e-7
-                assert report.objective_gap <= 1e-7
-                assert report.max_gibbs_residual <= 1e-6
+                assert report.checks[0].value <= 1e-7
+                assert report.checks[1].value <= 1e-7
+                assert report.checks[2].value <= 1e-6
 
 
 def test_criterion_08_scaling_iteration_closed_form():
@@ -227,8 +227,8 @@ def test_criterion_10_martingale_diagnostic():
                 tree_a, tree_b = pair
                 res = nested_sinkhorn(tree_a, tree_b, 1.0, lam, tol=1e-12)
                 report = martingale_check(res)
-                assert report.max_martingale_residual <= 1e-6
-                assert report.max_projection_residual <= 1e-8
+                assert report.checks[0].value <= 1e-6
+                assert report.checks[1].value <= 1e-8
                 assert report.passed
 
 

@@ -215,6 +215,31 @@ class TestOutputs:
         assert [stage["newton"] for stage in doc["stats"]] == [s.newton for s in res.stats]
         assert sum(stage["iterations"] for stage in doc["stats"]) == res.total_iterations
 
+    def test_verify_prints_the_reports_rows(self, tmp_path, capsys):
+        # every report's rows in its own order: the bound rows with their
+        # slack, the equivalence and martingale rows with their residual
+        pair = height3_pair()
+        bounds = nested.nested_bound_report(*pair, 1.0, 5.0)
+        sink = bounds.regularized
+        expected = [("bounds", c.name, c.passed, c.slack) for c in bounds.checks]
+        for report, checks in (("equivalence", nested.verify_entropic_equivalence(sink).checks),
+                               ("martingale", nested.martingale_check(sink).checks)):
+            expected += [(report, c.name, c.passed, c.value) for c in checks]
+        assert len(expected) == 9
+        path_a, path_b = write_pair(tmp_path, pair)
+        args = ["verify", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "5"]
+        assert main(args + ["--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        keys = ("report", "check", "passed", "value")
+        assert [tuple(row[key] for key in keys) for row in doc["rows"]] == expected
+        assert main(args) == 0
+        _, rows = csv_rows(capsys.readouterr().out)
+        assert ([(row["report"], row["check"], row["passed"]) for row in rows]
+                == [(report, name, "true" if passed else "false")
+                    for report, name, passed, _ in expected])
+        assert [float(row["value"]) for row in rows] == pytest.approx(
+            [value for *_, value in expected], rel=1e-9, abs=0)
+
     def test_nested_sinkhorn_json_stats(self, tmp_path, capsys):
         pair = height3_pair()
         path_a, path_b = write_pair(tmp_path, pair)

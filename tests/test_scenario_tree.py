@@ -1,6 +1,7 @@
 """Tree parsing, validation, leaf arrays, costs, and random generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,28 @@ class TestCostMatrix:
         wide, _ = overflow_pair(1e308)
         with pytest.raises(ValueError, match="overflow the float range at order r=1.0"):
             cost_matrix(wide, wide, 1.0)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_stagewise_sum_matches_the_broadcast_sum(self, r):
+        # a height-6 pair of uneven trees, [1,4,1,3,2,1,3] seed 0 against
+        # [1,2,3,1,2,3,2] seed 1, summed over all stages at once for reference
+        tree_a = generate_random_tree((1, 4, 1, 3, 2, 1, 3), 0)
+        tree_b = generate_random_tree((1, 2, 3, 1, 2, 3, 2), 1)
+        sa, sb = tree_a.leaf_states, tree_b.leaf_states
+        broadcast = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2) ** r
+        assert np.array_equal(cost_matrix(tree_a, tree_b, r), broadcast)
+
+    def test_peak_memory_is_a_few_results(self):
+        # 1600 x 1600 leaf pairs over three stages
+        tree_a, tree_b = generate_random_tree((1, 40, 40), 1), generate_random_tree((1, 40, 40), 2)
+        tree_a.leaf_states, tree_b.leaf_states  # built before the measurement
+        tracemalloc.start()
+        try:
+            cost = cost_matrix(tree_a, tree_b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * cost.nbytes
 
 
 class TestGenerateRandomTree:

@@ -707,6 +707,31 @@ class TestNewtonFinish:
         assert_newton_contract(p, q, cost, lam, tol, res.plan.matrix, res.de_s, res.dual_row,
                                res.dual_col, res.marginal_error)
 
+    @pytest.mark.parametrize("lam", [50.0, 100.0, 200.0])
+    def test_round_off_gradient_on_an_uncoupled_potential(self, lam):
+        # the stage-1 diagonal pair of generate_random_tree([1,3,3], 15)
+        # against itself: the third potential is nearly uncoupled (Newton
+        # degree about 4e-47 at lam 100), and its gradient entry is round-off
+        # that must not steer the step.  The plain log-sum-exp sweeps of
+        # assert_newton_contract's reference crawl here, and its bound needs
+        # the dual Hessian's gap, which is as small; the reference is the
+        # symmetric averaged update f <- (f + T(f)) / 2 of p = q and a
+        # symmetric cost (Feydy et al., arXiv:1810.08278), whose potential
+        # serves both sides
+        p = np.array([0.32717659107881275, 0.48154854067252306, 0.19127486824866421])
+        x = np.cumsum([0.0, 0.11454019074153565, 1.0637423837717823])
+        cost = np.abs(x[:, None] - x[None, :])
+        tol = 1e-9
+        res = sinkhorn_auto(p, p, cost, lam, tol)
+        assert res.converged and res.iterations <= _SWEEP_BLOCK
+        km, f = -lam * cost, np.zeros(3)
+        for _ in range(100):
+            f = 0.5 * (f + np.log(p) - _lse(km + f[None, :], axis=1))
+        ref = np.exp(f[:, None] + km + f[None, :])
+        assert np.abs(ref.sum(axis=1) - p).max() <= 1e-15
+        assert np.abs(res.plan.matrix - ref).max() <= tol
+        assert res.de_s == pytest.approx((ref * cost).sum() - entropy(ref) / lam, rel=0, abs=tol)
+
 
 class TestEntropy:
     def test_uniform_plan(self):
