@@ -8,8 +8,9 @@ subproblem by a scaling iteration and propagates the full entropic
 objective.  A stage is solved in groups of same-shape subproblems into one
 :class:`StageTable` of dense arrays, which later stage walks read by the
 trees' index arrays: an exact group by the north-west corner of each
-problem sorted by child state, kept where its duals certify it, a
-regularized group by the batched scaling solver.
+problem sorted by child state, or by cost difference where a side has two
+children, kept where its duals certify it, a regularized group by the
+batched scaling solver.
 A flat linear program over leaf-pair variables with cross-multiplied
 conditional-marginal constraints is an independent oracle for both; the
 remaining functions verify flat feasibility of the composed plan,
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._simplex import _ENTER_TOL, _PIVOT_TOL, solve_lp
 from .scenario_tree import ScenarioTree, cost_matrix
-from .sinkhorn import (CheckResult, _BatchResult, _check_settings, _finalize, _marginal_errors,
+from .sinkhorn import (_EXP_FLOOR, CheckResult, _BatchResult, _check_settings, _marginal_errors,
                        _residual_check, _sinkhorn_batch, _stacked_entropy, bounded_check, entropy)
 from .transport import TransportPlan, solve_transport_lp
 
@@ -95,11 +96,15 @@ class StageStats:
 
     ``shapes`` lists the distinct child-count shapes ``(m, n)`` of the
     stage's subproblems.  ``iterations`` is the stage's total of scaling
-    sweeps and the ``iterations_*`` fields its spread over the subproblems
-    (all 0 for exact LPs); ``newton`` is the stage's total of Newton steps,
-    ``stabilized`` counts the subproblems whose first sweeps ran in the log
-    domain and ``stalled`` those stopped unconverged at round-off (any other
-    unconverged one swept ``max_iter`` times).  ``max_marginal_error`` is
+    sweeps and root steps (a subproblem with two rows or two columns counts
+    the steps of its scalar root, one with a single row or column none) and
+    the ``iterations_*`` fields its spread over the subproblems (all 0 for
+    exact LPs); ``newton`` is the stage's total of Newton steps of the
+    general finish, ``stabilized`` counts the subproblems whose first sweeps
+    ran in the log domain or, with two rows or two columns, that lie past
+    the plain form's exponent range, and ``stalled`` those stopped
+    unconverged at round-off (any other unconverged one took ``max_iter``
+    sweeps or root steps).  ``max_marginal_error`` is
     the largest marginal violation of a stage plan and ``wall_s`` the
     stage's wall time.
     """
@@ -279,9 +284,15 @@ def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray, X: np.ndarray,
     the leaf costs (c + |x - y|)^r of scalar states are, the corner is
     optimal (Burkard, Klinz & Rudolf, Discrete Appl. Math. 70, 1996), and
     the duals certify it: every reduced cost is at least ``-_DUAL_TOL * (1 +
-    max |cost|)``.  A problem they do not certify goes to
-    :func:`solve_transport_lp`."""
+    max |cost|)``.  A problem with two columns sorts its rows by ``C_i0 -
+    C_i1`` instead, and one with two rows (and more columns) its columns by
+    ``C_0j - C_1j``: whatever the costs, that order is Monge.  A problem the
+    duals do not certify goes to :func:`solve_transport_lp`."""
     B, m, n = C.shape
+    if n == 2:
+        X, Y = C[:, :, 0] - C[:, :, 1], np.zeros((B, 2))
+    elif m == 2:
+        X, Y = np.zeros((B, 2)), C[:, 0, :] - C[:, 1, :]
     stack = np.arange(B)[:, None]
     rows, cols = np.argsort(X, axis=1, kind="stable"), np.argsort(Y, axis=1, kind="stable")
     p_cum = np.cumsum(np.take_along_axis(P, rows, axis=1), axis=1)
@@ -322,25 +333,6 @@ def _lp_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray, X: np.ndarray,
     )
 
 
-def _sinkhorn_group(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol: float,
-                    max_iter: int) -> _BatchResult:
-    """:func:`_sinkhorn_batch` on a group of the regularized recursion, except
-    that a group with a single row or column takes its one feasible plan,
-    ``outer(p, q)``, with no sweeps.  Its log scalings solve
-    ``log u_i + log v_j = log plan_ij + lam * cost_ij`` with the largest
-    row scaling at one."""
-    B, m, n = C.shape
-    if m > 1 and n > 1:
-        return _sinkhorn_batch(P, Q, C, lam, tol, max_iter)
-    plan = P[:, :, None] * Q[:, None, :]
-    log_plan = np.log(plan)
-    gibbs = log_plan + lam * C
-    log_v = gibbs.max(axis=1)
-    none = np.zeros(B, dtype=int)
-    return _finalize(P, Q, C, lam, tol, plan, log_plan, gibbs[:, :, 0] - log_v[:, :1], log_v,
-                     none, none > 0)
-
-
 def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
                lam: Optional[float] = None, tol: float = 0.0, max_iter: int = 0,
                leaf_cost: Optional[np.ndarray] = None) -> NestedResult:
@@ -352,7 +344,7 @@ def _recursion(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float,
     _check_height(tree_a)
     # the solver reads tol / T once the driver has checked that T >= 1
     solve_group = _lp_group if lam is None else (
-        lambda P, Q, C, X, Y: _sinkhorn_group(P, Q, C, lam, tol / tree_a.height, max_iter))
+        lambda P, Q, C, X, Y: _sinkhorn_batch(P, Q, C, lam, tol / tree_a.height, max_iter))
     tables, stats = _solve_stagewise(tree_a, tree_b, leaf_cost, solve_group)
     composed = _compose(tree_a, tree_b, tables)
     root_pow = float(tables[0].value[0, 0])
@@ -387,9 +379,10 @@ def nested_exact(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0) -> 
     with the stage-(t+1) values as costs; the root value's r-th root is the
     distance.  A stage's LPs of one shape are solved together by
     :func:`_lp_group`: each takes the north-west corner of its problem
-    sorted by child state, which is optimal wherever the sorted costs are
-    Monge, as at the last stage, and one simplex where the corner's duals
-    do not certify it.  A degenerate LP may end at any optimal vertex.  The
+    sorted by child state, or by cost difference where one side has two
+    children, which is optimal wherever the sorted costs are Monge, as at
+    the last stage and on every side of two, and one simplex where the
+    corner's duals do not certify it.  A degenerate LP may end at any optimal vertex.  The
     composed leaf-pair plan is optimal for the flat formulation with
     conditional-marginal constraints.
     """
@@ -402,20 +395,22 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
 
     Each conditional subproblem is solved by the scaling iteration and
     contributes its full entropic objective as the cost seen one stage
-    earlier.  A stage's subproblems are grouped by shape.  A group with a
-    single row or column takes its one feasible plan, the product of the
-    marginals, with no sweeps; every other group is solved by
-    :func:`_sinkhorn_batch`: a short block of sweeps, in the plain
-    loop for subproblems inside the safe exponent range and in one
-    log-domain loop for the rest and for those on which the plain one
-    underflowed, then batched Newton steps for the subproblems still
+    earlier.  A stage's subproblems are grouped by shape, and each group is
+    solved by :func:`_sinkhorn_batch`, which first counts its free
+    potentials.  A group with a single row or column takes its one feasible
+    plan, the product of the marginals, with no iteration; one with two
+    rows or two columns finds its one free potential as a scalar root, one
+    iteration per root step.  Every other group takes a short block of
+    sweeps, in the plain loop for subproblems inside the safe exponent range
+    and in one log-domain loop for the rest and for those on which the plain
+    one underflowed, then batched Newton steps for the subproblems still
     unconverged, alternating with doubling blocks of log-domain sweeps where
-    Newton stalls.  Every subproblem of such a group keeps the sweeps,
-    Newton steps, plan and multipliers ``sinkhorn_auto`` would give it
-    alone; ``stats`` counts both kinds of work per stage.  Subproblems run
-    at tolerance ``tol / T`` so the stagewise marginal errors cannot push
-    the composed plan's feasibility beyond ``tol``.  A subproblem that has
-    swept ``max_iter`` times unconverged flags the whole result as
+    Newton stalls.  Every subproblem keeps the iterations, Newton steps,
+    plan and multipliers ``sinkhorn_auto`` would give it alone; ``stats``
+    counts both kinds of work per stage.  Subproblems run at tolerance
+    ``tol / T`` so the stagewise marginal errors cannot push the composed
+    plan's feasibility beyond ``tol``.  A subproblem that has taken
+    ``max_iter`` sweeps or root steps unconverged flags the whole result as
     unconverged instead of raising.
     """
     _check_settings(lam, tol, max_iter)
@@ -532,8 +527,9 @@ def verify_entropic_equivalence(result: NestedResult) -> EquivalenceReport:
     # rebuild log(plan) from the stagewise Gibbs factors
     # exp(-lam * (next_value - beta - gamma) - 1), and compare against the
     # log of the composed coupling accumulated as a sum of stage-plan logs
-    # (the entrywise product itself can underflow for large lam).  A stage
-    # plan entry that underflowed to 0 is compared as exp of its exponent.
+    # (the entrywise product itself can underflow for large lam).  The
+    # solver writes a stage plan entry as 0 below exp(_EXP_FLOOR), so a zero
+    # entry passes where its exponent is at most _EXP_FLOOR, up to GIBBS_TOL.
     recon = np.zeros(matrix.shape)
     log_composed = np.zeros(matrix.shape)
     vanished_ok = True
@@ -545,8 +541,7 @@ def verify_entropic_equivalence(result: NestedResult) -> EquivalenceReport:
         positive = plan > 0.0
         recon += np.where(positive, exponent, 0.0)
         log_composed += np.log(np.where(positive, plan, 1.0))
-        with np.errstate(over="ignore"):
-            vanished_ok = vanished_ok and not np.exp(exponent[~positive]).any()
+        vanished_ok = vanished_ok and bool((exponent[~positive] <= _EXP_FLOOR + GIBBS_TOL).all())
     max_gibbs = float(np.abs(recon - log_composed).max()) if vanished_ok else math.inf
 
     checks = [

@@ -9,14 +9,18 @@ any sweep that leaves the safe scaling range by a log-sum-exp sweep
 (Schmitzer, arXiv:1610.06519).  Both stop on the max-norm marginal
 violation, normalize the scaling pair so the largest row scaling is one,
 and report the plan, its cost, its entropy, and the entropic objective.
-One dispatcher chooses the form per problem, sweeps a short block, and
-finishes the problems still unconverged by damped Newton steps on the
-semi-dual (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635), going back to
-log-domain sweeps, in doubling blocks, wherever a Newton phase stops short
-of the tolerance, until the error meets it or stalls at round-off.  It
-solves the stagewise subproblems of the nested recursion; the one flat
-solver, :func:`sinkhorn_auto`, is a stack of one.  Every result carries
-the dual multipliers of its scalings.
+One dispatcher first counts a stack's free potentials, one fewer than its
+smaller side.  With none, a single row or column, the plan is the product
+of the marginals.  With one, two rows or two columns, the potential is a
+scalar root of the semi-dual (Brauer, Clason, Lorenz & Wirth,
+arXiv:1710.06635), found by safeguarded Newton steps in the log domain at
+every ``lam``.  Otherwise it chooses the form per problem, sweeps a short
+block, and finishes the problems still unconverged by damped Newton steps
+on the semi-dual, going back to log-domain sweeps, in doubling blocks,
+wherever a Newton phase stops short of the tolerance, until the error
+meets it or stalls at round-off.  It solves the stagewise subproblems of
+the nested recursion; the one flat solver, :func:`sinkhorn_auto`, is a
+stack of one.  Every result carries the dual multipliers of its scalings.
 """
 
 from __future__ import annotations
@@ -66,9 +70,11 @@ class SinkhornResult:
     the largest row multiplier is ``1 / (2 lam)``, the relaxed constraint
     ``dual_row[i] + dual_col[j] <= cost[i, j] + 1/lam`` holds, and at the
     fixed point ``p @ dual_row + q @ dual_col`` exceeds ``de_s`` by exactly
-    ``1 / lam``.  ``iterations`` counts scaling sweeps and ``newton``
-    Newton steps; ``stabilized`` marks a solve whose first sweeps ran in the
-    log domain.
+    ``1 / lam``.  ``iterations`` counts scaling sweeps, or the root steps of
+    a problem with two rows or two columns, and ``newton`` the Newton steps
+    of the general finish; ``stabilized`` marks a solve whose first sweeps
+    ran in the log domain, and a two-row or two-column problem past the
+    plain form's exponent range.
     """
 
     plan: TransportPlan
@@ -180,13 +186,16 @@ def _marginal_errors(plan: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarr
 
 
 def _finalize(P, Q, C, lam, tol, plan, log_plan, log_u, log_v, iterations,
-              stabilized, newton=None, stalled=None) -> _BatchResult:
+              stabilized, newton=None, stalled=None, marginal_error=None) -> _BatchResult:
     """Results of a stack of solved problems, in either form, from the plans,
     the logs of their entries and the log scalings, whose multipliers are
-    ``(log scaling + 1/2) / lam``.  Raises where a log scaling is not finite."""
+    ``(log scaling + 1/2) / lam``, and the plans' marginal errors where the
+    solver has summed them already.  Raises where a log scaling is not
+    finite."""
     h = _stacked_entropy(plan, log_plan)
     d_s = (plan * C).sum(axis=(1, 2))
-    marginal_error = _marginal_errors(plan, P, Q)
+    if marginal_error is None:
+        marginal_error = _marginal_errors(plan, P, Q)
     if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
         raise ValueError("scalings must be positive and finite")
     return _BatchResult(
@@ -461,16 +470,117 @@ def _newton(km: np.ndarray, P: np.ndarray, Q: np.ndarray, f: np.ndarray, g: np.n
     return f_out, g_out, steps
 
 
+def _product_plans(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float,
+                   tol: float) -> _BatchResult:
+    """A stack with a single row or column: its one feasible plan,
+    ``outer(p, q)``, with no sweeps.  Its log scalings solve
+    ``log u_i + log v_j = log plan_ij + lam * cost_ij`` with the largest row
+    scaling at one."""
+    plan = P[:, :, None] * Q[:, None, :]
+    log_plan = np.log(plan)
+    gibbs = log_plan + lam * C
+    log_v = gibbs.max(axis=1)
+    none = np.zeros(len(C), dtype=int)
+    return _finalize(P, Q, C, lam, tol, plan, log_plan, gibbs[:, :, 0] - log_v[:, :1], log_v,
+                     none, none > 0)
+
+
+def _root(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float, max_iter: int):
+    """A stack with two rows or two columns, whose one free potential is a
+    scalar root of the semi-dual (Brauer, Clason, Lorenz & Wirth,
+    arXiv:1710.06635).
+
+    Seen as ``m x 2`` (a two-row stack is transposed), with ``g_0 = 0`` and
+    the row potentials eliminated exactly, ``f_i = log p_i - logsumexp_j(km_ij
+    + g_j)``, the plan is ``x_i1 = p_i sigma(a_i + s)`` and ``x_i0 = p_i (1 -
+    sigma(a_i + s))``, with ``a_i = km_i1 - km_i0`` and ``s = g_1``.  Its rows
+    hold to round-off at every ``s``, and its columns where ``h(s) = sum_i
+    p_i sigma(a_i + s) = q_1``.  ``h`` increases, so the bracket ``[logit q_1
+    - max a, logit q_1 - min a]`` holds the root, and every evaluation moves
+    one of its ends to ``s``.  The start is the exact problem's split: its
+    rows, sorted by ``a``, fill the second column in turn, and the row that
+    fills it last takes its share there.  Each step is Newton's on ``logit
+    h(s) = logit q_1``, which is linear where one row is split, unless that
+    leaves the bracket or fails to halve the step before last; then it
+    bisects the bracket (the rule of Numerical Recipes' ``rtsafe``).  A step
+    too short to change ``s`` moves it to the next double.  A problem stops
+    when the plan it returns meets ``tol``, as ``stalled`` once no double
+    lies inside its bracket, or after ``max_iter`` steps, and keeps its
+    ``s`` while the rest of the stack steps on.  The loop holds the stack
+    problem-minor, ``[2, m, B]``, so that its sums over a problem's rows run
+    along the stack.  Returns the plans, the logs of their entries and the
+    log potentials in the stack's own layout, the largest row potential
+    zero, then the step counts, the marginal errors and the stall mask.
+    """
+    transposed = km.shape[2] != 2
+    if transposed:
+        km, P, Q = km.transpose(0, 2, 1), Q, P
+    B, m, _ = km.shape
+    first = np.ascontiguousarray(km[:, :, 0].T)
+    a = km[:, :, 1].T - first
+    p, q = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
+    log_p = np.log(p)
+    logit = np.log(q[1]) - np.log(q[0])
+    lo, hi = logit - a.max(axis=0), logit - a.min(axis=0)
+    order = np.argsort(-a, axis=0, kind="stable")
+    mass = np.take_along_axis(p, order, axis=0)
+    filled = np.cumsum(mass, axis=0)
+    k = np.minimum((filled < q[1]).sum(axis=0), m - 1)[None]
+    sides = np.array([-1.0, 1.0])[:, None, None]
+    steps = np.zeros(B, dtype=int)
+    going = np.ones(B, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        split = np.log(q[1] - (filled - mass)) - np.log(filled - q[1])
+        s = np.take_along_axis(split - np.take_along_axis(a, order, axis=0), k, axis=0)[0]
+        s = np.fmax(lo, np.fmin(s, hi))  # also a NaN start, from a share rounded out of (0, 1)
+        before = last = hi - lo
+        while True:
+            x = a + s
+            # log(1 - sigma(x)) and log sigma(x), neither a difference with one
+            log_plan = (log_p - np.log1p(_exp(-np.abs(x)))) + np.minimum(sides * x, 0.0)
+            plan = _exp(log_plan)
+            h = plan.sum(axis=1)
+            err = np.maximum(np.abs(plan[0] + plan[1] - p).max(axis=0), np.abs(h - q).max(axis=0))
+            log_h = np.log(h)
+            residual = log_h[1] - log_h[0] - logit
+            lo = np.where(residual <= 0.0, s, lo)
+            hi = np.where(residual >= 0.0, s, hi)
+            middle = 0.5 * (lo + hi)
+            unmet = err > tol
+            stalled = unmet & ((middle <= lo) | (middle >= hi))
+            going &= unmet & ~stalled & (steps < max_iter)
+            if not going.any():
+                break
+            slope = (plan[0] * plan[1] / p).sum(axis=0) / (h[0] * h[1])
+            newton = s - residual / slope
+            newton = np.where(newton == s, np.nextafter(s, -np.copysign(np.inf, residual)),
+                              newton)
+            newton = np.where((newton > lo) & (newton < hi)
+                              & (2.0 * np.abs(newton - s) <= before), newton, middle)
+            before, last = last, np.where(going, np.abs(newton - s), last)
+            s = np.where(going, newton, s)
+            steps += going
+    layout = (2, 0, 1) if transposed else (2, 1, 0)
+    potentials = np.stack([np.zeros(B), s], axis=1), (log_plan[0] - first).T
+    f, g = potentials if transposed else potentials[::-1]
+    shift = f.max(axis=1, keepdims=True)
+    return (np.ascontiguousarray(plan.transpose(layout)), log_plan.transpose(layout),
+            f - shift, g + shift, steps, err, stalled)
+
+
 def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
                   max_iter: int = 100_000) -> SinkhornResult:
     """:func:`_sinkhorn_batch` on a stack of one.
 
-    The first sweeps use the plain form while ``max |lam * cost|`` stays
-    inside the safe exponent range; beyond that (or on a detected underflow)
-    the log-domain form takes over.  A problem still unconverged after
-    ``min(_SWEEP_BLOCK, max_iter)`` sweeps is finished by Newton steps and,
-    where they stop making progress, more log-domain sweeps; ``max_iter``
-    caps the sweeps, and an error stalled at round-off stops them sooner.
+    A single row or column takes the product plan, with no iteration, and
+    two rows or two columns the scalar root of its one free potential, one
+    iteration per root step.  Otherwise the first sweeps use the plain form
+    while ``max |lam * cost|`` stays inside the safe exponent range; beyond
+    that (or on a detected underflow) the log-domain form takes over.  A
+    problem still unconverged after ``min(_SWEEP_BLOCK, max_iter)`` sweeps
+    is finished by Newton steps and, where they stop making progress, more
+    log-domain sweeps.  ``max_iter`` caps the sweeps or root steps, and an
+    error stalled at round-off stops them sooner.
     """
     p, q, C = _check_instance(p, q, cost)
     _check_settings(lam, tol, max_iter)
@@ -485,8 +595,13 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
     all float arrays, and nothing here checks them: the caller has made the
     rows of ``P`` and ``Q`` probability vectors with positive entries and
     ``C`` finite, and has passed ``lam``, ``tol`` and ``max_iter`` through
-    :func:`_check_settings`.  The solve runs in rounds.  First every
-    problem sweeps for ``min(_SWEEP_BLOCK, max_iter)`` sweeps: problems
+    :func:`_check_settings`.  The first decision is the count of free
+    potentials, one fewer than the smaller side.  With none, every problem
+    takes the product plan (:func:`_product_plans`).  With one, every
+    problem solves for it by :func:`_root`, which counts its root steps as
+    iterations and marks as ``stabilized`` the problems past
+    :data:`STABILIZE_THRESHOLD`.  Otherwise the solve runs in rounds.  First
+    every problem sweeps for ``min(_SWEEP_BLOCK, max_iter)`` sweeps: problems
     with ``max |lam * cost|`` up to :data:`STABILIZE_THRESHOLD` by the plain
     iteration of :func:`_lockstep`, the rest, together with the plain
     problems whose kernel products or row scalings underflowed there, by
@@ -498,16 +613,23 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
     ``max_iter`` times.  A problem is ``stalled``, and stops, when a round
     of Newton steps and sweeps did not lower its error, which is within
     :data:`_PLATEAU` of its largest log potential.  Every decision is taken
-    per problem, so each keeps the sweep and Newton counts, plan and
-    multipliers it would have alone.
+    per problem, so each keeps the sweep, root-step and Newton counts, plan
+    and multipliers it would have alone.
     """
-    B = len(C)
+    B, m, n = C.shape
+    free = min(m, n) - 1  # potentials left free once the gauge pins one
+    if free == 0:
+        return _product_plans(P, Q, C, lam, tol)
     km = -lam * C
+    stabilized = np.abs(km).reshape(B, -1).max(axis=1) > STABILIZE_THRESHOLD
+    if free == 1:
+        *solved, steps, err, stalled = _root(km, P, Q, tol, max_iter)
+        return _finalize(P, Q, C, lam, tol, *solved, steps, stabilized, stalled=stalled,
+                         marginal_error=err)
     block = min(_SWEEP_BLOCK, max_iter)
     solved = (np.empty(C.shape), np.empty(C.shape), np.empty(P.shape), np.empty(Q.shape),
               np.empty(B, dtype=int))
     plan, _, log_u, log_v, iterations = solved
-    stabilized = np.abs(km).reshape(B, -1).max(axis=1) > STABILIZE_THRESHOLD
     plain = np.flatnonzero(~stabilized)
     *results, failed = _lockstep(km[plain], P[plain], Q[plain], tol, block)
     for out, result in zip(solved, results):

@@ -149,6 +149,12 @@ def path_tree(states: list[float]) -> ScenarioTree:
     return tree_from_nodes(nodes)
 
 
+def square_pair() -> tuple[ScenarioTree, ScenarioTree]:
+    """Two height-2 trees in which every node has three children, so that
+    every subproblem has three rows and three columns."""
+    return generate_random_tree((1, 3, 3), 1), generate_random_tree((1, 3, 3), 2)
+
+
 def random_tree_pair(seed: int, max_height: int = 3,
                      max_branch: int = 3) -> tuple[ScenarioTree, ScenarioTree]:
     """Seeded pair of equal-height random trees with mixed branching."""

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from conftest import height3_pair, overflow_pair, split_timing_pair, underflow_tree
+from conftest import (height3_pair, overflow_pair, split_timing_pair, square_pair, underflow_tree,
+                      uneven_tree)
 from nested_sinkhorn import (cost_matrix, flat_nested_lp, generate_random_tree,
                              nested_sinkhorn, parse_tree, serialize_tree, wasserstein_distance)
 from nested_sinkhorn import cli, nested
@@ -134,12 +135,12 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_verify_fails_on_unconverged_run(self, tmp_path, capsys, monkeypatch):
-        # the bench seed-0 stage-3 pair at lambda 5 with the bound run's sweep
-        # cap at 40, below the first sweep block: two 3x2 stage-1 subproblems
+        # the [1,3,3,3] seed-0 and seed-10 pair at lambda 5 with the bound
+        # run's sweep cap at 40, below the first sweep block: 3x3 subproblems
         # stop at the cap unconverged, before any Newton step, while every
         # bound row still passes
         monkeypatch.setattr(nested, "BOUND_MAX_ITER", 40)
-        pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
+        pair = (generate_random_tree((1, 3, 3, 3), 0), generate_random_tree((1, 3, 3, 3), 10))
         path_a, path_b = write_pair(tmp_path, pair)
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
                      "--lambda", "5"]) == 1
@@ -149,17 +150,17 @@ class TestCommands:
         assert rows[-1]["check"] == "converged" and rows[-1]["passed"] == "false"
 
     def test_verify_reports_stalled_subproblems(self, tmp_path, capsys):
-        # the same pair at lambda 2000: three 3x2 stage-1 subproblems stop at
-        # the round-off floor, above their per-stage tolerance 1e-12 / 3, and
-        # the json stats count them
-        pair = (generate_random_tree((1, 2, 3, 2), 52), generate_random_tree((1, 2, 2, 1), 53))
+        # the same pair at lambda 2000: one 3x3 stage-1 and four 3x3 stage-2
+        # subproblems stop at the round-off floor, above their per-stage
+        # tolerance 1e-12 / 3, and the json stats count them
+        pair = (generate_random_tree((1, 3, 3, 3), 0), generate_random_tree((1, 3, 3, 3), 10))
         path_a, path_b = write_pair(tmp_path, pair)
         assert main(["verify", "--tree-a", path_a, "--tree-b", path_b,
                      "--lambda", "2000", "--output", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert all(row["passed"] is True for row in doc["rows"][:4])
         assert doc["rows"][-1]["check"] == "converged"
-        assert [stage["stalled"] for stage in doc["stats"]] == [0, 3, 0]
+        assert [stage["stalled"] for stage in doc["stats"]] == [0, 1, 4]
 
     def test_gen_writes_tree(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -241,7 +242,7 @@ class TestOutputs:
             [value for *_, value in expected], rel=1e-9, abs=0)
 
     def test_nested_sinkhorn_json_stats(self, tmp_path, capsys):
-        pair = height3_pair()
+        pair = uneven_tree(4), uneven_tree(5)
         path_a, path_b = write_pair(tmp_path, pair)
         args = ["nested-sinkhorn", "--tree-a", path_a, "--tree-b", path_b, "--lambda", "10"]
         assert main(args + ["--output", "json"]) == 0
@@ -252,7 +253,7 @@ class TestOutputs:
         newton = [stage.newton for stage in nested_sinkhorn(*pair, 1.0, 10.0).stats]
         assert [stage["newton"] for stage in stats] == newton and sum(newton) > 0
         assert ";".join(str(stage["subproblems"]) for stage in stats) == row["stage_subproblems"]
-        assert stats[2]["shapes"] == [[2, 2], [2, 3]]
+        assert stats[1]["shapes"] == [[1, 3], [3, 3]]
         # the CSV report keeps its columns
         assert main(args) == 0
         header, _ = csv_rows(capsys.readouterr().out)
@@ -327,7 +328,7 @@ class TestExitCodes:
         assert main(["nested", "--tree-a", str(path_a), "--tree-b", str(path_b)]) == 2
 
     def test_unconverged_is_status_one(self, tmp_path, capsys):
-        pair = height3_pair()
+        pair = square_pair()
         path_a, path_b = write_pair(tmp_path, pair)
         assert main(["nested-sinkhorn", "--tree-a", path_a, "--tree-b", path_b,
                      "--lambda", "30", "--tol", "1e-13", "--max-iter", "2"]) == 1

@@ -16,6 +16,7 @@ from conftest import (
     path_tree,
     random_tree_pair,
     split_timing_pair,
+    square_pair,
     tree_from_nodes,
     underflow_tree,
     uneven_tree,
@@ -290,6 +291,17 @@ class TestMonotoneGroups:
             elif shape not in BASIS_SHAPES:
                 assert_matches_the_simplex(*lp_stack(shape, kind))
 
+    @pytest.mark.parametrize("kind", LP_KINDS)
+    def test_a_side_of_two_is_sorted_by_cost_difference(self, kind, monkeypatch):
+        # two columns in rows sorted by c_i0 - c_i1 (or two rows in columns
+        # sorted by c_0j - c_1j) are Monge whatever the costs, so the corner
+        # is kept without the simplex
+        simplex = count_calls(monkeypatch, "solve_transport_lp")
+        for shape in SHAPES:
+            if 2 in shape:
+                assert_matches_the_simplex(*lp_stack(shape, kind))
+                assert not simplex, shape
+
     def test_non_monge_costs_go_to_the_simplex(self, monkeypatch):
         simplex = count_calls(monkeypatch, "solve_transport_lp")
         P, Q, C, X, Y = lp_stack((4, 5), "random")
@@ -346,8 +358,13 @@ class TestMonotoneGroups:
         tree_b = generate_random_tree(branching[1], 1)
         calls = stage_simplex_calls(monkeypatch, tree_a, tree_b, r)
         assert len(calls) == tree_a.height and calls[-1] == 0
-        # the interior problems that are not Monge still reach the simplex
-        assert sum(calls) > 0
+        if branching[0] == (1, 6, 6, 6):
+            # the interior problems that are not Monge still reach the simplex
+            assert sum(calls) > 0
+        else:
+            # every problem of the uneven pair has a side of at most 2, which
+            # sorted by cost difference is Monge
+            assert sum(calls) == 0
 
 
 class TestBasisEnumeration:
@@ -515,7 +532,7 @@ class TestNestedSinkhorn:
         assert res.value_with_entropy < 0.0 <= res.value
 
     def test_unconverged_flagged(self):
-        tree_a, tree_b = height3_pair()
+        tree_a, tree_b = square_pair()
         res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=30.0, tol=1e-12, max_iter=2)
         assert not res.converged
 
@@ -550,9 +567,7 @@ class TestNestedSinkhorn:
 
 def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
     """Check every stage-table entry of a regularized result against
-    ``sinkhorn_auto`` on the same subproblem, except that a subproblem with
-    a single row or column takes no sweeps; returns the reference results
-    of the subproblems with more than one row and column."""
+    ``sinkhorn_auto`` on the same subproblem; returns the reference results."""
     T = len(res.stage_tables)
     # the last stage's nodes are the leaves, in leaf order
     later = [table.value for table in res.stage_tables[1:]] + [cost_matrix(tree_a, tree_b, 1.0)]
@@ -563,16 +578,14 @@ def per_pair_reference(tree_a, tree_b, res, lam, tol, max_iter):
             block = np.ix_(rows, cols)
             ref = sinkhorn_auto(prob_a[t + 1][rows], prob_b[t + 1][cols], nxt[block], lam,
                                 tol / T, max_iter)
-            swept = len(rows) > 1 and len(cols) > 1
-            assert table.iterations[i, j] == (ref.iterations if swept else 0)
+            assert table.iterations[i, j] == ref.iterations
             assert table.converged[i, j] == ref.converged
             assert table.plan[block] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
             assert table.value[i, j] == pytest.approx(ref.de_s, rel=0, abs=1e-12)
             assert table.entropy[i, j] == pytest.approx(ref.entropy, rel=0, abs=1e-12)
             assert table.dual_row[rows, j] == pytest.approx(ref.dual_row, rel=0, abs=1e-12)
             assert table.dual_col[i, cols] == pytest.approx(ref.dual_col, rel=0, abs=1e-12)
-            if swept:
-                refs.append(ref)
+            refs.append(ref)
     return refs
 
 
@@ -688,6 +701,20 @@ class TestEntropicEquivalence:
         assert report.passed
         assert report.checks[2].value <= 1e-12
 
+    def test_entries_written_as_zero_above_the_underflow(self):
+        # the certify-uneven pair at lambda 100: the solver writes stage-0
+        # plan entries as 0 whose Gibbs exponents lie between -745 and -700,
+        # where exp is still positive
+        tree_a = generate_random_tree((1, 4, 1, 3, 2, 1, 3), 0)
+        tree_b = generate_random_tree((1, 2, 3, 1, 2, 3, 2), 1)
+        res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=100.0)
+        assert res.converged
+        root = res.stage_tables[0]  # one 4x2 subproblem, priced by the stage-1 values
+        exponent = -100.0 * (res.stage_tables[1].value - root.dual_row - root.dual_col) - 1.0
+        vanished = root.plan == 0.0
+        assert (np.exp(exponent[vanished]) > 0.0).any()
+        assert verify_entropic_equivalence(res).passed
+
     def test_rejects_exact_result(self):
         tree_a, tree_b = height3_pair()
         res = nested_exact(tree_a, tree_b, 1.0)
@@ -695,7 +722,7 @@ class TestEntropicEquivalence:
             verify_entropic_equivalence(res)
 
     def test_rejects_unconverged(self):
-        tree_a, tree_b = height3_pair()
+        tree_a, tree_b = square_pair()
         res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=30.0, tol=1e-12, max_iter=2)
         with pytest.raises(ValueError, match="converged"):
             verify_entropic_equivalence(res)
@@ -778,7 +805,7 @@ class TestMartingaleCheck:
             martingale_check(nested_exact(tree_a, tree_b, 1.0))
 
     def test_rejects_unconverged(self):
-        tree_a, tree_b = height3_pair()
+        tree_a, tree_b = square_pair()
         res = nested_sinkhorn(tree_a, tree_b, 1.0, lam=30.0, tol=1e-12, max_iter=2)
         with pytest.raises(ValueError, match="converged"):
             martingale_check(res)

@@ -20,12 +20,13 @@ from nested_sinkhorn import (
     sinkhorn_auto,
     solve_transport_lp,
 )
-from nested_sinkhorn.sinkhorn import (_SWEEP_BLOCK, _absorbed_lockstep, _finalize, _lockstep,
-                                     _single, _sinkhorn_batch)
+from nested_sinkhorn.sinkhorn import (_PLATEAU, _SWEEP_BLOCK, _absorbed_lockstep, _finalize,
+                                     _lockstep, _marginal_errors, _single, _sinkhorn_batch)
 from nested_sinkhorn.transport import _check_instance
 
 HALF = np.array([0.5, 0.5])
 FLIP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
+OFF_DIAGONAL = 1.0 - np.eye(3)
 
 
 def sweep_loop(loop, p, q, cost, lam, tol=1e-9, max_iter=100_000):
@@ -156,9 +157,9 @@ class TestSinkhornPlain:
 
     def test_max_iter_flagging(self):
         # asymmetric, weakly regularized: far from converged after 3 sweeps
-        p = np.array([0.3, 0.7])
-        q = np.array([0.7, 0.3])
-        res = sinkhorn_auto(p, q, FLIP_COST, lam=30.0, tol=1e-12, max_iter=3)
+        p = np.array([0.2, 0.3, 0.5])
+        q = np.array([0.5, 0.3, 0.2])
+        res = sinkhorn_auto(p, q, OFF_DIAGONAL, lam=30.0, tol=1e-12, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
         assert res.marginal_error > 1e-12
@@ -193,8 +194,8 @@ class TestSinkhornPlain:
 
     @pytest.mark.parametrize("max_iter", [1, np.int64(3), np.int32(3)])
     def test_integer_max_iter_of_any_kind(self, max_iter):
-        p, q = np.array([0.3, 0.7]), np.array([0.7, 0.3])
-        res = sinkhorn_auto(p, q, FLIP_COST, lam=30.0, tol=1e-12, max_iter=max_iter)
+        p, q = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+        res = sinkhorn_auto(p, q, OFF_DIAGONAL, lam=30.0, tol=1e-12, max_iter=max_iter)
         assert res.iterations == max_iter
 
 
@@ -508,14 +509,20 @@ class TestAbsorbedIteration:
                                    batch.dual_row[k], batch.dual_col[k], batch.marginal_error[k])
 
 
+# stays under the log-domain threshold, but a scaling of the plain
+# iteration's first sweep leaves the double range, so the plain iteration
+# gives up and the log-domain one solves it again
+PLAIN_FAILURE = (np.array([0.6659, 0.1416, 0.1925]), np.array([0.525, 0.2053, 0.2697]),
+                 np.array([[278.95, 550.16, 278.85], [-299.18, 278.39, -299.53],
+                           [-550.18, 0.68, -550.16]]))
+
+
 class TestSinkhornBatch:
     def test_underflow_retry_matches_auto(self):
-        # the first problem stays under the log-domain threshold, but its
-        # column scaling underflows on the first sweep, so the plain
-        # iteration gives up and the log-domain one solves it again
-        P = np.array([[1.0], [1.0]])
-        Q = np.array([[0.15488989, 0.84511011], [0.3, 0.7]])
-        C = np.array([[[-551.38714657, 278.40743479]], [[0.0, 1.0]]])
+        # the failure above, stacked with a mild problem
+        P = np.stack([PLAIN_FAILURE[0], np.array([0.3, 0.3, 0.4])])
+        Q = np.stack([PLAIN_FAILURE[1], np.array([0.6, 0.2, 0.2])])
+        C = np.stack([PLAIN_FAILURE[2], OFF_DIAGONAL])
         assert plain_loop_fails(P[0], Q[0], C[0], lam=1.0)
         assert not plain_loop_fails(P[1], Q[1], C[1], lam=1.0)
         batch = _sinkhorn_batch(P, Q, C, lam=1.0, tol=1e-12)
@@ -565,9 +572,10 @@ class TestSinkhornBatch:
             calls.append(len(km))
             return absorbed(km, *args)
 
-        P = np.ones((3, 1))
-        Q = np.array([[0.3, 0.7], [0.15488989, 0.84511011], [0.6, 0.4]])
-        C = np.array([[[0.0, 1.0]], [[-551.38714657, 278.40743479]], [[-700.0, 900.0]]])
+        P = np.stack([np.array([0.3, 0.3, 0.4]), PLAIN_FAILURE[0], np.array([0.3, 0.3, 0.4])])
+        Q = np.stack([np.array([0.6, 0.2, 0.2]), PLAIN_FAILURE[1], np.array([0.6, 0.2, 0.2])])
+        C = np.stack([OFF_DIAGONAL, PLAIN_FAILURE[2],
+                      np.array([[-700.0, 900.0, 0.0], [0.0, 1.0, 2.0], [3.0, 0.0, 1.0]])])
         refs = [sinkhorn_auto(P[k], Q[k], C[k], lam=1.0, tol=1e-12) for k in range(3)]
         monkeypatch.setattr(sinkhorn_module, "_absorbed_lockstep", counted)
         batch = _sinkhorn_batch(P, Q, C, lam=1.0, tol=1e-12)
@@ -592,34 +600,38 @@ class TestNewtonFinish:
         report = bound_certificates(cost, res, solve_transport_lp(p, q, cost))
         assert report.all_passed, [c for c in report.checks if not c.passed]
 
-    # the four 3x2 stage-1 subproblems of the bench seed-0 stage-3 pair,
-    # [1,2,3,2] seed 52 against [1,2,2,1] seed 53 (generate_random_tree), at
-    # lam 2000, priced by the stage-2 values and written out in full precision
-    STAGE1_P = ([0.29605252205026705, 0.4497010000911501, 0.25424647785858284],
-                [0.47292093154131837, 0.31004076501856004, 0.21703830344012165])
-    STAGE1_Q = ([0.36317458716016976, 0.6368254128398302],
-                [0.5571254927399681, 0.4428745072600319])
-    STAGE1_COSTS = (
-        [[4.574831874887419, 4.2446792787945355], [7.774247254333966, 7.444094658241083],
-         [4.560342306475379, 4.230189710382494]],
-        [[5.443596186165159, 3.6513619095779193], [2.2441962996914517, 2.1531140929362236],
-         [5.45810066113806, 3.665866384550819]],
-        [[8.05239831060817, 7.722245714515287], [3.7522984093345197, 3.450030485433147],
-         [7.07110956897354, 6.740956972880656]],
-        [[2.8650137581474344, 2.9265614598620635], [6.26613220066329, 4.4738979240760495],
-         [2.947325105609966, 2.004547509906938]],
+    # three stage-1 subproblems of the [1,3,3,3] seed-0 tree against the
+    # [1,3,3,3] seed-10 tree (generate_random_tree), the node pairs (0, 1),
+    # (1, 0) and (2, 1), at lam 2000, priced by the stage-2 values and
+    # written out in full precision
+    STAGE1 = (
+        ([0.32576894116781485, 0.3683557362616117, 0.3058753225705734],
+         [0.28735393365312734, 0.3431803089241139, 0.3694657574227587],
+         [[1.1212367034387785, 2.8248962263401105, 3.341294524323336],
+          [1.9990489581685031, 1.392191626312168, 5.311331373593593],
+          [3.466393105898524, 1.4940690405382357, 6.737040403146384]]),
+        ([0.4312524540461217, 0.18921330141130174, 0.37953424454257656],
+         [0.3409100547552763, 0.39715630476508523, 0.26193364047963846],
+         [[2.9259201141360696, 2.486782269976363, 2.1606843359909416],
+          [3.46104137869113, 1.6728821862130339, 2.0287647646636233],
+          [3.374859404964669, 1.6957828906649925, 1.9449644812954432]]),
+        ([0.34564115812916163, 0.3908705583289858, 0.26348828354185255],
+         [0.28735393365312734, 0.3431803089241139, 0.3694657574227587],
+         [[6.194146313231622, 4.045257981952314, 9.506527860775547],
+          [2.2953156840755344, 1.4329330464610752, 5.306487019316193],
+          [4.922680734796801, 2.7965824937393493, 8.234977272862537]]),
     )
 
     def test_mixed_stack(self):
-        # near-block-diagonal 2x2 problems at lam 20: some converge within
+        # near-block-diagonal 3x3 problems at lam 20: some converge within
         # the first sweep block and some in the first Newton phase; then the
         # stage-1 subproblems above at their nested tolerance 1e-12 / 3, where
-        # one sweeps again after its Newton phase stops short and the others
-        # stall at round-off.  Each gets its result alone
+        # two sweep again after their Newton phases stop short and the third
+        # stalls at round-off.  Each gets its result alone
         rng = np.random.default_rng(0)
         lam, tol = 20.0, 1e-9
-        problems = [(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2)),
-                     FLIP_COST + rng.uniform(0.0, 0.3, size=(2, 2))) for _ in range(16)]
+        problems = [(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)),
+                     OFF_DIAGONAL + rng.uniform(0.0, 0.3, size=(3, 3))) for _ in range(16)]
         batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol)
         kinds = set()
         for k, (p, q, cost) in enumerate(problems):
@@ -637,8 +649,7 @@ class TestNewtonFinish:
                                        batch.dual_row[k], batch.dual_col[k],
                                        batch.marginal_error[k])
         lam, tol, max_iter = 2000.0, 1e-12 / 3, 200_000
-        problems = [(np.array(self.STAGE1_P[k // 2]), np.array(self.STAGE1_Q[k % 2]),
-                     np.array(cost)) for k, cost in enumerate(self.STAGE1_COSTS)]
+        problems = [tuple(np.array(x) for x in problem) for problem in self.STAGE1]
         batch = _sinkhorn_batch(*(np.stack(x) for x in zip(*problems)), lam, tol, max_iter)
         for k, (p, q, cost) in enumerate(problems):
             alone = sinkhorn_auto(p, q, cost, lam, tol, max_iter)
@@ -648,6 +659,7 @@ class TestNewtonFinish:
             assert alone.converged != batch.stalled[k] and alone.iterations < max_iter
             if alone.converged and alone.iterations > _SWEEP_BLOCK:
                 kinds.add("resumed")
+        assert batch.stalled.tolist() == [False, False, True]
         assert kinds == {"swept", "newton", "resumed"}
 
     def test_exp_flushes_subnormals(self):
@@ -672,32 +684,36 @@ class TestNewtonFinish:
         # the kernel's off-diagonal entries underflow, so the Newton weights
         # vanish; the pinned, scaled system stays solvable, and a mild stack
         # mate gets the result it gets alone
-        p, q = np.array([0.3, 0.7]), np.array([0.7, 0.3])
-        cost = np.array([[0.0, 1000.0], [1000.0, 0.0]])
+        p, q = np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.4, 0.2])
+        cost = 1000.0 * OFF_DIAGONAL
         res = sinkhorn_auto(p, q, cost, lam=1.0)
         assert res.newton > 0 and res.converged
-        mild = (HALF, np.array([0.4, 0.6]), FLIP_COST)
+        mild = (np.array([0.3, 0.3, 0.4]), np.array([0.6, 0.2, 0.2]), OFF_DIAGONAL)
         batch = _sinkhorn_batch(np.stack([p, mild[0]]), np.stack([q, mild[1]]),
                                 np.stack([cost, mild[2]]), lam=1.0)
         assert batch.converged.all()
         assert_same_as_alone(batch, 0, res, 1e-12)
         assert_same_as_alone(batch, 1, sinkhorn_auto(*mild, lam=1.0), 1e-12)
 
-    # two subproblems of the 72x72-leaf pair [1,4,1,3,2,1,3] seed 0 against
-    # [1,2,3,1,2,3,2] seed 1 (generate_random_tree) at lam 100, written out
-    # in full precision: the stage-5 pair (63, 45), priced by the leaf
-    # costs, and the stage-3 pair (10, 11), priced by the stage-4 values.
-    # Their optimal plans move mass across nearly disconnected couplings
-    # (Newton weight 1.3e-41 in the first), where the sweeps crawl and
-    # capped Newton steps get through
+    # two subproblems of the 27x27-leaf pair [1,3,3,3] seed 0 against
+    # [1,3,3,3] seed 10 (generate_random_tree) at lam 100, written out in
+    # full precision: the stage-2 pair (7, 4), priced by the leaf costs, and
+    # the stage-1 pair (0, 1), priced by the stage-2 values.  Their optimal
+    # plans move mass across nearly disconnected couplings (Newton weights
+    # down to 5e-56 and 8e-59), where the sweeps crawl and capped Newton
+    # steps get through
     @pytest.mark.parametrize("p, q, cost", [
-        ([0.2206758264982144, 0.47647371730454974, 0.30285045619723594],
-         [0.47629623698209106, 0.523703763017909],
-         [[7.981991671125049, 7.04045954100435], [7.19527196253452, 8.136804092655218],
-          [7.924461235267007, 6.982929105146308]]),
-        ([0.37785671818731975, 0.6221432818126802], [0.380130021809941, 0.6198699781900591],
-         [[7.53561996161789, 10.666759761471523], [11.745155611031763, 7.926102691076789]]),
-    ], ids=["stage5-3x2", "stage3-2x2"])
+        ([0.23356399238600997, 0.490808368501552, 0.27562763911243804],
+         [0.44153313970952973, 0.26271567939751594, 0.2957511808929544],
+         [[3.3956482036783027, 2.206332057474968, 4.050618727912546],
+          [1.1401093487717655, 1.9910065832133448, 1.7950798730060096],
+          [1.4333476535266585, 2.622663799729993, 1.1634226564893615]]),
+        ([0.32576894116781485, 0.3683557362616117, 0.3058753225705734],
+         [0.28735393365312734, 0.3431803089241139, 0.3694657574227587],
+         [[1.1055141645834548, 2.8064344658602485, 3.320860228327361],
+          [1.9803752368354153, 1.3780129405732138, 5.290828078455033],
+          [3.4501702376148855, 1.4775599724204103, 6.716468173329995]]),
+    ], ids=["stage2-3x3", "stage1-3x3"])
     def test_nearly_disconnected_kernel(self, p, q, cost):
         p, q, cost, lam, tol = np.array(p), np.array(q), np.array(cost), 100.0, 1e-9
         res = sinkhorn_auto(p, q, cost, lam, tol)
@@ -731,6 +747,104 @@ class TestNewtonFinish:
         assert np.abs(ref.sum(axis=1) - p).max() <= 1e-15
         assert np.abs(res.plan.matrix - ref).max() <= tol
         assert res.de_s == pytest.approx((ref * cost).sum() - entropy(ref) / lam, rel=0, abs=tol)
+
+
+def two_by_two_plan(p, q, cost, lam):
+    """Closed form of a 2x2 problem: its plan is [[x, p0 - x], [q0 - x, p1 - q0
+    + x]] with cross ratio x (p1 - q0 + x) / ((p0 - x) (q0 - x)) = kappa =
+    exp(-lam * (c00 + c11 - c01 - c10)), a quadratic in x.  With the columns
+    swapped where needed, kappa <= 1 and x is its root in [0, min(p0, q0)],
+    taken in the form without cancellation."""
+    d = lam * (cost[0, 0] + cost[1, 1] - cost[0, 1] - cost[1, 0])
+    if d < 0.0:
+        return two_by_two_plan(p, q[::-1], cost[:, ::-1], lam)[:, ::-1]
+    kappa = math.exp(-d)
+    a, b, c = -math.expm1(-d), p[1] - q[0] + kappa * (p[0] + q[0]), kappa * p[0] * q[0]
+    root = math.sqrt(b * b + 4.0 * a * c)
+    x = 2.0 * c / (b + root) if b > 0.0 else (root - b) / (2.0 * a)
+    return np.array([[x, p[0] - x], [q[0] - x, p[1] - q[0] + x]])
+
+
+def two_sided_stack(seed, shape, B=12):
+    """``B`` seeded problems of one shape with a side of 2 and costs in [0, 3]."""
+    rng = np.random.default_rng([seed, *shape])
+    return (rng.dirichlet(np.ones(shape[0]), size=B), rng.dirichlet(np.ones(shape[1]), size=B),
+            rng.uniform(0.0, 3.0, size=(B, *shape)))
+
+
+# every shape with a smaller side of 2 and the other side at most 8
+TWO_SIDED = [(m, 2) for m in range(2, 9)] + [(2, n) for n in range(3, 9)]
+
+
+class TestScalarRoot:
+    """A problem with two rows or two columns has one free potential, a
+    scalar root, and takes no sweeps and no Newton phase."""
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0, 100.0, 500.0, 1000.0, 2500.0])
+    def test_2x2_closed_form(self, lam):
+        P, Q, C = two_sided_stack(0, (2, 2), B=20)
+        # the symmetric problem, whose plateau of s holds its root in the middle
+        P, Q, C = np.vstack([P, HALF]), np.vstack([Q, HALF]), np.vstack([C, FLIP_COST[None]])
+        batch = _sinkhorn_batch(P, Q, C, lam, tol=1e-13)
+        assert batch.converged.all() and not batch.newton.any()
+        for k in range(len(C)):
+            expected = two_by_two_plan(P[k], Q[k], C[k], lam)
+            assert batch.plan[k] == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", TWO_SIDED)
+    def test_stacks_converge_or_stall_at_round_off(self, shape):
+        P, Q, C = two_sided_stack(1, shape)
+        for lam in (1.0, 20.0, 100.0, 1000.0, 2500.0):
+            for tol in (1e-12, 1e-17):
+                batch = _sinkhorn_batch(P, Q, C, lam, tol, max_iter=200)
+                assert (batch.converged | batch.stalled).all()
+                assert not (batch.converged & batch.stalled).any()
+                assert (batch.iterations < 200).all() and not batch.newton.any()
+                # a stalled plan misses its marginals only by the round-off
+                # of its largest log potential
+                floor = _PLATEAU * lam * np.maximum(np.abs(batch.dual_row).max(axis=1),
+                                                    np.abs(batch.dual_col).max(axis=1))
+                assert (batch.marginal_error[batch.stalled] <= floor[batch.stalled]).all()
+                if tol == 1e-12:
+                    assert batch.converged.all()
+                errors = _marginal_errors(batch.plan, P, Q)
+                assert np.array_equal(batch.converged, errors <= tol)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5), (8, 2)])
+    @pytest.mark.parametrize("lam", [1.0, 5.0, 20.0])
+    def test_matches_the_log_domain_reference(self, shape, lam):
+        P, Q, C = two_sided_stack(2, shape, B=4)
+        tol = 1e-10
+        batch = _sinkhorn_batch(P, Q, C, lam, tol)
+        for k in range(len(C)):
+            assert_newton_contract(P[k], Q[k], C[k], lam, tol, batch.plan[k], batch.de_s[k],
+                                   batch.dual_row[k], batch.dual_col[k],
+                                   batch.marginal_error[k])
+            assert batch.dual_row[k].max() == 0.5 / lam
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_max_iter_caps_the_root_steps(self, shape):
+        P, Q, C = two_sided_stack(3, shape, B=1)
+        full = sinkhorn_auto(P[0], Q[0], C[0], lam=2.0, tol=1e-12)
+        assert full.converged and full.iterations > 1 and full.newton == 0
+        cut = sinkhorn_auto(P[0], Q[0], C[0], lam=2.0, tol=1e-12, max_iter=1)
+        assert not cut.converged and cut.iterations == 1
+        assert cut.marginal_error > 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4)])
+    def test_stack_order_and_splits_keep_each_result(self, shape):
+        P, Q, C = two_sided_stack(4, shape, B=16)
+        lam, tol = 50.0, 1e-12
+        whole = _sinkhorn_batch(P, Q, C, lam, tol)
+        order = np.random.default_rng(4).permutation(len(C))
+        parts = [(order, _sinkhorn_batch(P[order], Q[order], C[order], lam, tol))]
+        parts += [(half, _sinkhorn_batch(P[half], Q[half], C[half], lam, tol))
+                  for half in (np.arange(5), np.arange(5, 16))]
+        assert len(set(whole.iterations.tolist())) > 1
+        for index, part in parts:
+            for name in ("plan", "dual_row", "dual_col", "de_s", "entropy", "iterations",
+                         "marginal_error", "converged", "stalled"):
+                assert np.array_equal(getattr(part, name), getattr(whole, name)[index]), name
 
 
 class TestEntropy:
