@@ -97,16 +97,17 @@ class StageStats:
     ``shapes`` lists the distinct child-count shapes ``(m, n)`` of the
     stage's subproblems.  ``iterations`` is the stage's total of scaling
     sweeps and root steps (a subproblem with two rows or two columns counts
-    the steps of its scalar root, one with a single row or column none) and
+    the steps of its scalar root, one with a single row or column none, one
+    past the plain range its sweeps at every ``lam`` it was solved at) and
     the ``iterations_*`` fields its spread over the subproblems (all 0 for
     exact LPs); ``newton`` is the stage's total of Newton steps of the
-    general finish, ``stabilized`` counts the subproblems whose first sweeps
-    ran in the log domain or, with two rows or two columns, that lie past
-    the plain form's exponent range, and ``stalled`` those stopped
-    unconverged at round-off (any other unconverged one took ``max_iter``
-    sweeps or root steps).  ``max_marginal_error`` is
-    the largest marginal violation of a stage plan and ``wall_s`` the
-    stage's wall time.
+    general finish, at every ``lam`` too, ``stabilized`` counts the
+    subproblems whose first sweeps ran in the log domain or, with two rows
+    or two columns, that lie past the plain form's exponent range, and
+    ``stalled`` those stopped unconverged at round-off (any other
+    unconverged one took ``max_iter`` sweeps or root steps).
+    ``max_marginal_error`` is the largest marginal violation of a stage plan
+    and ``wall_s`` the stage's wall time.
     """
 
     stage: int
@@ -402,14 +403,15 @@ def nested_sinkhorn(tree_a: ScenarioTree, tree_b: ScenarioTree, r: float = 1.0,
     rows or two columns finds its one free potential as a scalar root, one
     iteration per root step.  Every other group takes a short block of
     sweeps, in the plain loop for subproblems inside the safe exponent range
-    and in one log-domain loop for the rest and for those on which the plain
-    one underflowed, then batched Newton steps for the subproblems still
-    unconverged, alternating with doubling blocks of log-domain sweeps where
-    Newton stalls.  Every subproblem keeps the iterations, Newton steps,
-    plan and multipliers ``sinkhorn_auto`` would give it alone; ``stats``
-    counts both kinds of work per stage.  Subproblems run at tolerance
-    ``tol / T`` so the stagewise marginal errors cannot push the composed
-    plan's feasibility beyond ``tol``.  A subproblem that has taken
+    and in one log-domain loop for the rest, started from their solutions at
+    ``lam / 8``, and for those on which the plain one underflowed, then
+    batched Newton steps for the subproblems still unconverged, alternating
+    with doubling blocks of log-domain sweeps where Newton stalls.  Every
+    subproblem keeps the iterations, Newton steps, plan and multipliers
+    ``sinkhorn_auto`` would give it alone; ``stats`` counts both kinds of
+    work per stage, at every ``lam``.  Subproblems run at tolerance ``tol /
+    T`` so the stagewise marginal errors cannot push the composed plan's
+    feasibility beyond ``tol``.  A subproblem that has taken
     ``max_iter`` sweeps or root steps unconverged flags the whole result as
     unconverged instead of raising.
     """

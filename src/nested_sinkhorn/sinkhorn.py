@@ -15,12 +15,14 @@ of the marginals.  With one, two rows or two columns, the potential is a
 scalar root of the semi-dual (Brauer, Clason, Lorenz & Wirth,
 arXiv:1710.06635), found by safeguarded Newton steps in the log domain at
 every ``lam``.  Otherwise it chooses the form per problem, sweeps a short
-block, and finishes the problems still unconverged by damped Newton steps
-on the semi-dual, going back to log-domain sweeps, in doubling blocks,
-wherever a Newton phase stops short of the tolerance, until the error
-meets it or stalls at round-off.  It solves the stagewise subproblems of
-the nested recursion; the one flat solver, :func:`sinkhorn_auto`, is a
-stack of one.  Every result carries the dual multipliers of its scalings.
+block, a problem past the plain range from its own solution at ``lam / 8``
+(epsilon-scaling, Schmitzer, arXiv:1610.06519), and finishes the problems
+still unconverged by damped Newton steps on the semi-dual, going back to
+log-domain sweeps, in doubling blocks, wherever a Newton phase stops short
+of the tolerance, until the error meets it or stalls at round-off.  It
+solves the stagewise subproblems of the nested recursion; the one flat
+solver, :func:`sinkhorn_auto`, is a stack of one.  Every result carries
+the dual multipliers of its scalings.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ STABILIZE_THRESHOLD = 600.0  # |lam * cost| beyond which exp() risks under/overf
 BOUND_SLACK = 1e-8           # tolerance granted to every checked inequality
 _ABSORB_RANGE = (1e-30, 1e30)  # the log-domain loop keeps its scalings strictly inside
 _SWEEP_BLOCK = 50     # sweeps before a problem's first Newton phase; later blocks double
+_LAMBDA_STEP = 8.0    # a problem past STABILIZE_THRESHOLD first solves at lam / _LAMBDA_STEP
 _NEWTON_CAP = 8.0     # a Newton step's first trust radius: its largest change of a log potential
 _ARMIJO = 1e-4        # sufficient increase of the semi-dual objective along a step
 _LINE_SEARCH = 30     # step halvings before a Newton step is given up
@@ -72,9 +75,9 @@ class SinkhornResult:
     fixed point ``p @ dual_row + q @ dual_col`` exceeds ``de_s`` by exactly
     ``1 / lam``.  ``iterations`` counts scaling sweeps, or the root steps of
     a problem with two rows or two columns, and ``newton`` the Newton steps
-    of the general finish; ``stabilized`` marks a solve whose first sweeps
-    ran in the log domain, and a two-row or two-column problem past the
-    plain form's exponent range.
+    of the general finish, both summed over every ``lam`` it was solved at;
+    ``stabilized`` marks a solve whose first sweeps ran in the log domain,
+    and a two-row or two-column problem past the plain form's range.
     """
 
     plan: TransportPlan
@@ -288,9 +291,10 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
-                       max_iter: int, g: Optional[np.ndarray] = None):
+                       max_iter: int | np.ndarray, g: Optional[np.ndarray] = None):
     """The log-domain iteration on stacked exponents ``km = -lam * C``, from
-    the log column potentials ``g`` (zero by default).
+    the log column potentials ``g`` (zero by default), for at most
+    ``max_iter`` sweeps, one cap for the stack or one per problem.
 
     Absorption stabilization (Schmitzer, arXiv:1610.06519): plain scalings
     ``u, v`` sweep on the kernel ``exp(f + km + g)`` with the log potentials
@@ -309,6 +313,7 @@ def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
     g_out = np.zeros((B, n))
     iterations = np.zeros(B, dtype=int)
     active = np.arange(B)
+    limit = np.broadcast_to(max_iter, B)
     log_P, log_Q = np.log(P), np.log(Q)
     P = P[:, :, None]
     Q = Q[:, :, None]
@@ -334,8 +339,8 @@ def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
             it += 1
             t = K @ v
             err = np.maximum.reduce(np.abs(u * t - P), axis=1)
-            if it >= max_iter or not np.minimum.reduce(err, axis=None) > tol:
-                going = err[:, 0] > tol if it < max_iter else np.zeros(len(err), dtype=bool)
+            if it >= limit.min() or not np.minimum.reduce(err, axis=None) > tol:
+                going = (err[:, 0] > tol) & (it < limit)
                 stop = ~going
                 done = active[stop]
                 f_out[done] = f[stop] + np.log(u[stop, :, 0])
@@ -344,8 +349,8 @@ def _absorbed_lockstep(km: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float,
                 if not going.any():
                     break
                 active = active[going]
-                exponent, K, P, Q, log_P, log_Q, f, g, t, u, v = (
-                    a[going] for a in (exponent, K, P, Q, log_P, log_Q, f, g, t, u, v))
+                exponent, K, P, Q, log_P, log_Q, f, g, t, u, v, limit = (
+                    a[going] for a in (exponent, K, P, Q, log_P, log_Q, f, g, t, u, v, limit))
                 KT = K.transpose(0, 2, 1)
             u_next = P / t
             v_next = Q / (KT @ u_next)
@@ -576,11 +581,12 @@ def sinkhorn_auto(p, q, cost, lam: float, tol: float = 1e-9,
     two rows or two columns the scalar root of its one free potential, one
     iteration per root step.  Otherwise the first sweeps use the plain form
     while ``max |lam * cost|`` stays inside the safe exponent range; beyond
-    that (or on a detected underflow) the log-domain form takes over.  A
-    problem still unconverged after ``min(_SWEEP_BLOCK, max_iter)`` sweeps
-    is finished by Newton steps and, where they stop making progress, more
-    log-domain sweeps.  ``max_iter`` caps the sweeps or root steps, and an
-    error stalled at round-off stops them sooner.
+    that the log-domain form takes over from the problem's solution at
+    ``lam / 8``, or on a detected underflow from zero.  A problem still
+    unconverged after ``min(_SWEEP_BLOCK, max_iter)`` sweeps is finished by
+    Newton steps and, where they stop making progress, more log-domain
+    sweeps.  ``max_iter`` caps the root steps, or the sweeps at all values
+    of ``lam``, and an error stalled at round-off stops them sooner.
     """
     p, q, C = _check_instance(p, q, cost)
     _check_settings(lam, tol, max_iter)
@@ -600,21 +606,26 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
     takes the product plan (:func:`_product_plans`).  With one, every
     problem solves for it by :func:`_root`, which counts its root steps as
     iterations and marks as ``stabilized`` the problems past
-    :data:`STABILIZE_THRESHOLD`.  Otherwise the solve runs in rounds.  First
-    every problem sweeps for ``min(_SWEEP_BLOCK, max_iter)`` sweeps: problems
-    with ``max |lam * cost|`` up to :data:`STABILIZE_THRESHOLD` by the plain
-    iteration of :func:`_lockstep`, the rest, together with the plain
-    problems whose kernel products or row scalings underflowed there, by
-    the log-domain iteration of :func:`_absorbed_lockstep` in one call, the
-    failed ones again from scratch.  The problems still unconverged with
+    :data:`STABILIZE_THRESHOLD`.  Otherwise, if ``max_iter > 1``, those
+    problems first solve at ``lam / _LAMBDA_STEP`` by a recursive call with
+    one sweep fewer, whose sweeps and Newton steps count as theirs.  Then
+    the solve runs in rounds.  First every problem sweeps for
+    ``min(_SWEEP_BLOCK, max_iter)`` sweeps, fewer where its coarse sweeps
+    leave less: problems with ``max |lam * cost|`` up to
+    :data:`STABILIZE_THRESHOLD` by the plain iteration of :func:`_lockstep`,
+    the rest, together with the plain problems whose kernel products or row
+    scalings underflowed there, by the log-domain iteration of
+    :func:`_absorbed_lockstep` in one call, from the coarse column
+    multipliers where there are any.  The problems still unconverged with
     sweeps left take a phase of :func:`_newton` steps; those it does not
-    finish sweep again in the log domain from its potentials, for twice the
-    previous block, and so on, until each plan meets ``tol`` or has swept
-    ``max_iter`` times.  A problem is ``stalled``, and stops, when a round
-    of Newton steps and sweeps did not lower its error, which is within
-    :data:`_PLATEAU` of its largest log potential.  Every decision is taken
-    per problem, so each keeps the sweep, root-step and Newton counts, plan
-    and multipliers it would have alone.
+    finish sweep again in the log domain from its potentials (from zero
+    after a coarse start), for twice the previous block, and so on, until
+    each plan meets ``tol`` or has swept ``max_iter`` times.  A problem is
+    ``stalled``, and stops, when a round of Newton steps and sweeps did not
+    lower its error, which is within :data:`_PLATEAU` of its largest log
+    potential.  Every decision is taken per problem, so each keeps the
+    sweep, root-step and Newton counts, plan and multipliers it would have
+    alone.
     """
     B, m, n = C.shape
     free = min(m, n) - 1  # potentials left free once the gauge pins one
@@ -630,15 +641,24 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
     solved = (np.empty(C.shape), np.empty(C.shape), np.empty(P.shape), np.empty(Q.shape),
               np.empty(B, dtype=int))
     plan, _, log_u, log_v, iterations = solved
+    warm = stabilized & (max_iter > 1)  # starts from its solution at lam / 8
+    spent, newton = np.zeros((2, B), dtype=int)
+    start = np.zeros(Q.shape)
+    if warm.any():
+        coarse = _sinkhorn_batch(P[warm], Q[warm], C[warm], lam / _LAMBDA_STEP, tol, max_iter - 1)
+        spent[warm], newton[warm] = coarse.iterations, coarse.newton
+        start[warm] = lam * coarse.dual_col - 0.5
     plain = np.flatnonzero(~stabilized)
     *results, failed = _lockstep(km[plain], P[plain], Q[plain], tol, block)
     for out, result in zip(solved, results):
         out[plain] = result
     stabilized[plain[failed]] = True
     logs = np.flatnonzero(stabilized)
-    for out, result in zip(solved, _absorbed_lockstep(km[logs], P[logs], Q[logs], tol, block)):
+    swept = _absorbed_lockstep(km[logs], P[logs], Q[logs], tol,
+                               np.minimum(block, max_iter - spent[logs]), start[logs])
+    for out, result in zip(solved, swept):
         out[logs] = result
-    newton = np.zeros(B, dtype=int)
+    iterations += spent
     stalled = np.zeros(B, dtype=bool)
     err = _marginal_errors(plan, P, Q)
     active = np.flatnonzero((err > tol) & (iterations < max_iter))
@@ -651,8 +671,12 @@ def _sinkhorn_batch(P: np.ndarray, Q: np.ndarray, C: np.ndarray, lam: float, tol
         active, g = active[going], g[going]
         if not active.size:
             break
-        block = min(2 * block, max_iter - int(iterations[active].max()))
-        resumed = _absorbed_lockstep(km[active], P[active], Q[active], tol, block, g)
+        # a warm start that its first Newton phase leaves unconverged is dropped
+        g[warm[active]] = 0.0
+        warm[:] = False
+        block *= 2
+        resumed = _absorbed_lockstep(km[active], P[active], Q[active], tol,
+                                     np.minimum(block, max_iter - iterations[active]), g)
         for out, result in zip(solved[:4], resumed):
             out[active] = result
         iterations[active] += resumed[4]

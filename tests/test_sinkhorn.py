@@ -20,8 +20,9 @@ from nested_sinkhorn import (
     sinkhorn_auto,
     solve_transport_lp,
 )
-from nested_sinkhorn.sinkhorn import (_PLATEAU, _SWEEP_BLOCK, _absorbed_lockstep, _finalize,
-                                     _lockstep, _marginal_errors, _single, _sinkhorn_batch)
+from nested_sinkhorn.sinkhorn import (_LAMBDA_STEP, _PLATEAU, _SWEEP_BLOCK, STABILIZE_THRESHOLD,
+                                     _absorbed_lockstep, _finalize, _lockstep, _marginal_errors,
+                                     _single, _sinkhorn_batch)
 from nested_sinkhorn.transport import _check_instance
 
 HALF = np.array([0.5, 0.5])
@@ -321,6 +322,16 @@ def assert_same_as_alone(batch, k, alone, atol):
     assert batch.dual_col[k] == pytest.approx(alone.dual_col, rel=0, abs=atol)
 
 
+def lam_levels(lam, cost):
+    """How many values of lam a general problem is solved at: its own, and
+    one more for each coarser level its max |lam * cost| needs to get inside
+    ``STABILIZE_THRESHOLD``, each ``_LAMBDA_STEP`` times smaller."""
+    levels, peak = 1, lam * float(np.abs(cost).max())
+    while peak > STABILIZE_THRESHOLD:
+        levels, peak = levels + 1, peak / _LAMBDA_STEP
+    return levels
+
+
 def plain_reference(p, q, cost, lam, tol=1e-9, max_iter=100_000):
     """The multiplicative iteration as a flat loop, without underflow
     guards.  The batched plain loop must reproduce its iterates."""
@@ -464,10 +475,10 @@ class TestAbsorbedIteration:
 
     def test_stacked_problems(self, monkeypatch):
         # one stack at max |lam * cost| = 1e3, 1e4 and 1e5: the problems
-        # repair different numbers of sweeps, and Newton steps finish each in
-        # its first phase, the third across couplings that underflow.  The
-        # stack does each problem's log-sum-exp work exactly as the problem
-        # alone does it
+        # repair different numbers of sweeps, and Newton steps finish each at
+        # every level of lam in its first phase, the third across couplings
+        # that underflow.  The stack does each problem's log-sum-exp work
+        # exactly as the problem alone does it
         rng = np.random.default_rng(27)
         problems = []
         for magnitude in (1e3, 1e4, 1e5):
@@ -502,7 +513,7 @@ class TestAbsorbedIteration:
             atol = 1e-12 * max(1.0, float(np.abs(lam * cost).max()))
             assert_same_as_alone(batch, k, alone, atol)
             assert batch.dual_row[k].max() == 0.5 / lam
-            assert alone.iterations == _SWEEP_BLOCK and alone.newton > 0
+            assert alone.iterations == _SWEEP_BLOCK * lam_levels(lam, cost) and alone.newton > 0
         assert batch.converged.all() and not batch.stalled.any()
         for k in range(2):
             assert_newton_contract(*problems[k], lam, tol, batch.plan[k], batch.de_s[k],
@@ -564,7 +575,9 @@ class TestSinkhornBatch:
     def test_one_log_domain_call_per_stack(self, monkeypatch):
         # a plain problem, the plain failure of the test above and a problem
         # past the log-domain threshold: the failure and the large problem
-        # share one call of the log-domain loop
+        # share one call of the log-domain loop.  The large problem first
+        # solves at lam / 8, inside the plain range, whose level makes its
+        # own call with no problem in it
         calls = []
         absorbed = sinkhorn_module._absorbed_lockstep
 
@@ -579,13 +592,39 @@ class TestSinkhornBatch:
         refs = [sinkhorn_auto(P[k], Q[k], C[k], lam=1.0, tol=1e-12) for k in range(3)]
         monkeypatch.setattr(sinkhorn_module, "_absorbed_lockstep", counted)
         batch = _sinkhorn_batch(P, Q, C, lam=1.0, tol=1e-12)
-        assert calls == [2]
+        assert calls == [0, 2]
         assert batch.stabilized.tolist() == [False, True, True]
         for k, ref in enumerate(refs):
             assert ref.stabilized == batch.stabilized[k]
             assert batch.iterations[k] == ref.iterations
             assert batch.converged[k] == ref.converged
             assert batch.plan[k] == pytest.approx(ref.plan.matrix, rel=0, abs=1e-12)
+
+    def test_coarse_levels_keep_each_result_and_share_max_iter(self):
+        # max |lam * cost| = 300, 2000 and 20000: a plain problem, one that
+        # first solves at lam / 8 and one that first solves at lam / 64 and
+        # lam / 8.  Each level sweeps one block before Newton steps finish
+        # it, and every sweep at every level counts against max_iter
+        rng = np.random.default_rng(1)
+        problems = []
+        for magnitude in (300.0, 2000.0, 20000.0):
+            p, q, cost, _ = signed_instance(rng, 4, 5, magnitude)
+            problems.append((p, q, magnitude * cost))
+        stack = [np.stack(x) for x in zip(*problems)]
+        levels = [lam_levels(1.0, cost) for _, _, cost in problems]
+        assert levels == [1, 2, 3]
+        for max_iter in (100_000, 60):
+            batch = _sinkhorn_batch(*stack, 1.0, 1e-9, max_iter)
+            for k, (p, q, cost) in enumerate(problems):
+                alone = sinkhorn_auto(p, q, cost, 1.0, 1e-9, max_iter)
+                assert_same_as_alone(batch, k, alone, 1e-12 * np.abs(cost).max())
+            assert batch.stabilized.tolist() == [False, True, True]
+            if max_iter == 60:
+                assert batch.iterations.tolist() == [_SWEEP_BLOCK, 60, 60]
+                assert batch.converged.tolist() == [True, False, False]
+            else:
+                assert batch.iterations.tolist() == [_SWEEP_BLOCK * n for n in levels]
+                assert batch.converged.all()
 
 
 class TestNewtonFinish:
@@ -680,6 +719,21 @@ class TestNewtonFinish:
         x = res.plan.matrix
         assert (x == 0.0).any() and not ((x > 0.0) & (x < np.finfo(float).tiny)).any()
 
+    @pytest.mark.parametrize("lam, newton_cap", [(100.0, 20), (1000.0, 40)])
+    def test_flat_pair_starts_from_coarser_lam(self, lam, newton_cap):
+        # the flat-hi benchmark pair, 144x24 at max |lam * cost| of about
+        # 2450 and 24500: started from its own solution at lam / 8 (and
+        # lam / 64), the Newton finish takes a few steps, where the same
+        # solve from zero potentials took 46 and 239
+        a = generate_random_tree((1, 2, 3, 2, 3, 4), 86)
+        b = generate_random_tree((1, 2, 2, 1, 3, 2), 87)
+        p, q, cost = a.leaf_probabilities, b.leaf_probabilities, cost_matrix(a, b, 1.0)
+        res = sinkhorn_auto(p, q, cost, lam)
+        assert res.converged and res.stabilized and 0 < res.newton <= newton_cap
+        exact = solve_transport_lp(p, q, cost).value
+        assert res.de_s <= exact <= res.d_s
+        assert res.d_s - res.de_s <= (math.log(p.size) + math.log(q.size)) / lam
+
     def test_singular_newton_system(self):
         # the kernel's off-diagonal entries underflow, so the Newton weights
         # vanish; the pinned, scaled system stays solvable, and a mild stack
@@ -718,8 +772,9 @@ class TestNewtonFinish:
         p, q, cost, lam, tol = np.array(p), np.array(q), np.array(cost), 100.0, 1e-9
         res = sinkhorn_auto(p, q, cost, lam, tol)
         assert res.converged and res.newton > 0
-        # Newton steps finish it without another sweep block
-        assert res.iterations == _SWEEP_BLOCK
+        # Newton steps finish it at each level of lam without another sweep
+        # block; the stage-1 problem, at max |lam * cost| = 671.6, has two
+        assert res.iterations == _SWEEP_BLOCK * lam_levels(lam, cost)
         assert_newton_contract(p, q, cost, lam, tol, res.plan.matrix, res.de_s, res.dual_row,
                                res.dual_col, res.marginal_error)
 
